@@ -14,7 +14,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import graphs, ideals, series
-from .core import LAW_CHECK_BOUND, MANY, ZERO, SemiringCtx, fin, verify_laws
+from .core import LAW_CHECK_BOUND, MANY, ZERO, SemiringCtx, bound_limit, fin, verify_laws
 
 # window sweep is cubic in window count; depth 5 keeps verify-all snappy
 _SWEEP_WINDOW_DEPTH = 5
@@ -48,10 +48,18 @@ def _ctx(k: int, mutant: Optional[str]) -> SemiringCtx:
     return SemiringCtx(k, mutant=mutant)
 
 
+def _bounded(k_max: int, bound: int, unsafe: bool) -> tuple:
+    """The k range a check covers (1..k_max, cut at ``bound`` unless
+    ``unsafe``) and the ``max_k`` it passes on to bounded searches."""
+    limit = bound_limit(bound, unsafe)
+    top = k_max if limit is None else min(k_max, limit)
+    return range(1, top + 1), limit
+
+
 def _check_laws(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    top = k_max if unsafe else min(k_max, LAW_CHECK_BOUND)
-    for k in range(1, top + 1):
-        for report in verify_laws(_ctx(k, mutant), max_k=max(top, LAW_CHECK_BOUND)):
+    ks, limit = _bounded(k_max, LAW_CHECK_BOUND, unsafe)
+    for k in ks:
+        for report in verify_laws(_ctx(k, mutant), max_k=limit):
             if not report.holds:
                 ce = report.counterexample
                 shown = ", ".join(
@@ -83,10 +91,10 @@ def _check_graph_girth(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 def _check_graph_clique(k_max: int, mutant, unsafe: bool) -> Optional[str]:
     small = {1: 2, 2: 2, 3: 3, 4: 4}
-    top = k_max if unsafe else min(k_max, graphs.EXACT_SEARCH_BOUND)
-    for k in range(1, top + 1):
+    ks, limit = _bounded(k_max, graphs.EXACT_SEARCH_BOUND, unsafe)
+    for k in ks:
         g = graphs.build_graph(k, mutant=mutant)
-        omega = graphs.clique_number(g, max_k=max(top, graphs.EXACT_SEARCH_BOUND))
+        omega = graphs.clique_number(g, max_k=limit)
         bound = k // 2 + 1
         if omega < bound:
             return f"k={k}: clique number {omega} below bound {bound}"
@@ -102,25 +110,21 @@ def _check_graph_clique(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_graph_chromatic(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    top = k_max if unsafe else min(k_max, graphs.EXACT_SEARCH_BOUND)
-    for k in range(1, top + 1):
+    ks, limit = _bounded(k_max, graphs.EXACT_SEARCH_BOUND, unsafe)
+    for k in ks:
         g = graphs.build_graph(k, mutant=mutant)
-        cap = max(top, graphs.EXACT_SEARCH_BOUND)
-        omega = graphs.clique_number(g, max_k=cap)
-        chi = graphs.chromatic_number(g, max_k=cap)
+        omega = graphs.clique_number(g, max_k=limit)
+        chi = graphs.chromatic_number(g, max_k=limit)
         if chi < omega:
             return f"k={k}: chromatic number {chi} below clique number {omega}"
     return None
 
 
-def _ideal_cap(k_max: int, unsafe: bool) -> int:
-    return k_max if unsafe else min(k_max, ideals.IDEAL_ENUM_BOUND)
-
-
 def _check_ideal_lattice(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
-        lattice = ideals.enumerate_ideals(ctx)
+        lattice = ideals.enumerate_ideals(ctx, max_k=limit)
         smallest = frozenset((ZERO, MANY))
         if smallest not in {i.members for i in lattice}:
             return f"k={k}: {{0, m}} is not an ideal"
@@ -134,9 +138,10 @@ def _check_ideal_lattice(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_ideal_primes(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
-        lattice = ideals.enumerate_ideals(ctx)
+        lattice = ideals.enumerate_ideals(ctx, max_k=limit)
         primes = [i for i in lattice if ideals.is_prime(ctx, i)]
         zero_ideal = frozenset((ZERO,))
         maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
@@ -148,9 +153,10 @@ def _check_ideal_primes(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_ideal_austere(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
-        for ideal in ideals.enumerate_ideals(ctx):
+        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
             want = ideal.is_zero or ideal.is_whole
             if ideals.is_subtractive(ctx, ideal) != want:
                 return f"k={k}: subtractivity of {ideal.render()} is {not want}"
@@ -158,10 +164,11 @@ def _check_ideal_austere(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_ideal_radicals(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
         maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
-        for ideal in ideals.enumerate_ideals(ctx):
+        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
             rad = ideals.radical(ctx, ideal).members
             if ideal.is_zero:
                 want = ideal.members
@@ -175,7 +182,8 @@ def _check_ideal_radicals(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_ideal_principal_primes(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, _ = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
         found = False
         for a in ctx.nonzero_elements():
@@ -189,19 +197,21 @@ def _check_ideal_principal_primes(k_max: int, mutant, unsafe: bool) -> Optional[
 
 
 def _check_ideal_maximal(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
         maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
-        for ideal in ideals.enumerate_ideals(ctx):
+        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
             want = ideal.members == maximal
-            if ideals.is_maximal(ctx, ideal) != want:
+            if ideals.is_maximal(ctx, ideal, max_k=limit) != want:
                 return f"k={k}: maximality of {ideal.render()} is {not want}"
     return None
 
 
 def _check_spectrum(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
-        view = ideals.spectrum(_ctx(k, mutant))
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
+        view = ideals.spectrum(_ctx(k, mutant), max_k=limit)
         if not view.is_sierpinski:
             return (
                 f"k={k}: spectrum has {len(view.points)} points and "
@@ -221,8 +231,8 @@ def _multiplicative_subsets(ctx: SemiringCtx):
 
 
 def _check_localization(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    top = k_max if unsafe else min(k_max, _LOCALIZE_SWEEP_BOUND)
-    for k in range(1, top + 1):
+    ks, _ = _bounded(k_max, _LOCALIZE_SWEEP_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
         for subset in _multiplicative_subsets(ctx):
             loc = ideals.localize(ctx, subset)
@@ -238,8 +248,9 @@ def _check_localization(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_ideal_semiring(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
-        ids = ideals.ideal_semiring(_ctx(k, mutant))
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
+        ids = ideals.ideal_semiring(_ctx(k, mutant), max_k=limit)
         if not ids.is_additively_idempotent():
             return f"k={k}: ideal sum is not idempotent"
         if not ids.is_zerosumfree():
@@ -264,8 +275,9 @@ def _check_ideal_semiring(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_nilpotency(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, _ideal_cap(k_max, unsafe) + 1):
-        idx = ideals.nilpotency_index(_ctx(k, mutant))
+    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
+    for k in ks:
+        idx = ideals.nilpotency_index(_ctx(k, mutant), max_k=limit)
         guarantee = 1
         while (1 << guarantee) <= k:
             guarantee += 1
@@ -342,15 +354,14 @@ def _check_window_idempotency(k_max: int, mutant, unsafe: bool) -> Optional[str]
 
 
 def _check_quadratics(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    top = k_max if unsafe else min(k_max, series.ORACLE_BOUND)
-    for k in range(1, top + 1):
+    ks, limit = _bounded(k_max, series.ORACLE_BOUND, unsafe)
+    for k in ks:
         ctx = _ctx(k, mutant)
-        cap = max(top, series.ORACLE_BOUND)
         for alpha in ctx.nonzero_elements():
             for beta in ctx.elements():
                 closed = series.quadratic_irreducible(ctx, alpha, beta)
                 witness = series.factorization_oracle(
-                    series.quadratic(ctx, alpha, beta), max_k=cap
+                    series.quadratic(ctx, alpha, beta), max_k=limit
                 )
                 if closed != (witness is None):
                     return (

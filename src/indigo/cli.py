@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional
 
@@ -24,6 +25,7 @@ from .core import (
     ContextMismatchError,
     Elem,
     SemiringCtx,
+    bound_limit,
     verify_laws,
 )
 
@@ -144,8 +146,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_laws(args) -> int:
     ctx = SemiringCtx(args.k)
-    max_k = args.k if args.unsafe_bound else LAW_CHECK_BOUND
-    reports = verify_laws(ctx, max_k=max(max_k, LAW_CHECK_BOUND) if args.unsafe_bound else max_k)
+    reports = verify_laws(ctx, max_k=bound_limit(LAW_CHECK_BOUND, args.unsafe_bound))
     claims = []
     for r in reports:
         detail = ""
@@ -161,7 +162,7 @@ def _cmd_laws(args) -> int:
 
 def _cmd_graph(args) -> int:
     g = graphs.build_graph(args.k)
-    max_k = args.k if args.unsafe_bound else graphs.EXACT_SEARCH_BOUND
+    max_k = bound_limit(graphs.EXACT_SEARCH_BOUND, args.unsafe_bound)
     wanted = [name for name in ("diameter", "girth", "clique", "chromatic") if getattr(args, name)]
     if not wanted and not args.edges:
         wanted = ["diameter", "girth", "clique", "chromatic"]
@@ -188,7 +189,6 @@ def _cmd_graph(args) -> int:
 
 def _cmd_ideals(args) -> int:
     ctx = SemiringCtx(args.k)
-    max_k = args.k if args.unsafe_bound else ideals.IDEAL_ENUM_BOUND
     payload: dict = {"k": args.k}
     if args.radical is not None:
         gens = _parse_elem_list(args.radical)
@@ -200,7 +200,9 @@ def _cmd_ideals(args) -> int:
             radical=rad.render() if not args.json else rad.to_json(),
         )
         return _emit(payload, [], args.json)
-    lattice = ideals.enumerate_ideals(ctx, max_k=max_k)
+    lattice = ideals.enumerate_ideals(
+        ctx, max_k=bound_limit(ideals.IDEAL_ENUM_BOUND, args.unsafe_bound)
+    )
     payload["count"] = len(lattice)
     if args.list:
         payload["ideals"] = (
@@ -216,8 +218,7 @@ def _cmd_ideals(args) -> int:
 
 def _cmd_spec(args) -> int:
     ctx = SemiringCtx(args.k)
-    max_k = args.k if args.unsafe_bound else ideals.IDEAL_ENUM_BOUND
-    view = ideals.spectrum(ctx, max_k=max_k)
+    view = ideals.spectrum(ctx, max_k=bound_limit(ideals.IDEAL_ENUM_BOUND, args.unsafe_bound))
     data = view.to_json()
     payload = {
         "k": args.k,
@@ -318,8 +319,9 @@ def _cmd_irreducible(args) -> int:
     }
     claims = []
     if args.oracle:
-        max_k = args.k if args.unsafe_bound else series.ORACLE_BOUND
-        witness = series.factorization_oracle(f, max_k=max_k)
+        witness = series.factorization_oracle(
+            f, max_k=bound_limit(series.ORACLE_BOUND, args.unsafe_bound)
+        )
         if witness is None:
             payload["witness"] = None
         else:
@@ -450,9 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _run(args) -> int:
     try:
         return args.fn(args)
     except BoundExceededError as exc:
@@ -464,6 +464,20 @@ def main(argv=None) -> int:
     except (ContextMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+
+
+def main(argv=None) -> int:
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    code = EXIT_OK
+    try:
+        code = _run(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        # the reader stopped early (`indigo table 30 | head -1`): send the
+        # rest of the output, and the final flush at exit, to /dev/null
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return code
 
 
 if __name__ == "__main__":

@@ -46,6 +46,21 @@ class BoundExceededError(RuntimeError):
     """An exhaustive computation was requested beyond its configured k bound."""
 
 
+def bound_limit(bound: int, unsafe: bool) -> Optional[int]:
+    """The ``max_k`` an exhaustive search runs under: its ``bound``, or
+    ``None`` (unbounded) when ``unsafe`` lifts it."""
+    return None if unsafe else bound
+
+
+def check_bound(k: int, max_k: Optional[int], what: str) -> None:
+    """Raise ``BoundExceededError`` when k exceeds ``max_k``; ``None`` is unbounded.
+
+    ``what`` opens the message, e.g. "exact clique search is".
+    """
+    if max_k is not None and k > max_k:
+        raise BoundExceededError(f"{what} bounded at k <= {max_k}, got k={k}")
+
+
 @dataclass(frozen=True)
 class Elem:
     """One element: zero, a finite count 1..k, or the saturation symbol m."""
@@ -373,17 +388,14 @@ def _canonical_map_break(ctx: SemiringCtx, add_t, mul_t) -> Optional[tuple]:
     return None
 
 
-def verify_laws(ctx: SemiringCtx, max_k: int = LAW_CHECK_BOUND) -> list:
+def verify_laws(ctx: SemiringCtx, max_k: Optional[int] = LAW_CHECK_BOUND) -> list:
     """Exhaustively check every semiring and order law for ctx.
 
     Returns one ``LawReport`` per law in a fixed order.  The scans are
     cubic in k, so the default bound keeps k <= 64; pass a larger
-    ``max_k`` explicitly to go beyond it.
+    ``max_k``, or ``None`` for no bound, to go beyond it.
     """
-    if ctx.k > max_k:
-        raise BoundExceededError(
-            f"exhaustive law verification is bounded at k <= {max_k}, got k={ctx.k}"
-        )
+    check_bound(ctx.k, max_k, "exhaustive law verification is")
     add_t, mul_t = ctx.tables()
 
     def elems(codes):

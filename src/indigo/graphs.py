@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import MANY, BoundExceededError, Elem, SemiringCtx
+from .core import MANY, Elem, SemiringCtx, check_bound
 
 EXACT_SEARCH_BOUND = 24
 
@@ -141,14 +141,9 @@ def girth(g: IndigenousGraph) -> Union[int, float]:
     return best
 
 
-def _check_bound(g: IndigenousGraph, max_k: int, what: str):
-    if g.k > max_k:
-        raise BoundExceededError(f"exact {what} search is bounded at k <= {max_k}, got k={g.k}")
-
-
-def clique_number(g: IndigenousGraph, max_k: int = EXACT_SEARCH_BOUND) -> int:
+def clique_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
     """Size of a largest clique, by Bron-Kerbosch with pivoting."""
-    _check_bound(g, max_k, "clique")
+    check_bound(g.k, max_k, "exact clique search is")
     adj = g._adj
     n = g.order
     best = 0
@@ -184,13 +179,13 @@ def clique_number(g: IndigenousGraph, max_k: int = EXACT_SEARCH_BOUND) -> int:
     return best
 
 
-def chromatic_number(g: IndigenousGraph, max_k: int = EXACT_SEARCH_BOUND) -> int:
+def chromatic_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
     """Least number of colors in a proper coloring, by backtracking.
 
     The search starts at the clique number, which is always a lower
     bound, and raises the budget until a coloring exists.
     """
-    _check_bound(g, max_k, "chromatic")
+    check_bound(g.k, max_k, "exact chromatic search is")
     n = g.order
     if g.edge_count() == 0:
         return 1 if n else 0
@@ -252,7 +247,7 @@ class GraphInvariants:
         }
 
 
-def invariants(g: IndigenousGraph, max_k: int = EXACT_SEARCH_BOUND) -> GraphInvariants:
+def invariants(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> GraphInvariants:
     """All four exact invariants of g."""
     return GraphInvariants(
         k=g.k,

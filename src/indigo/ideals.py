@@ -23,7 +23,7 @@ from itertools import permutations
 from typing import Iterable, Optional
 
 from . import kernels
-from .core import ZERO, BoundExceededError, Elem, SemiringCtx
+from .core import ZERO, Elem, SemiringCtx, check_bound
 
 IDEAL_ENUM_BOUND = 16
 
@@ -130,16 +130,13 @@ class Ideal:
         return f"<Ideal {self.render()} of k={self.ctx.k}>"
 
 
-def enumerate_ideals(ctx: SemiringCtx, max_k: int = IDEAL_ENUM_BOUND) -> list:
+def enumerate_ideals(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> list:
     """Every ideal, in canonical order (cardinality, then lexicographic).
 
     Exhausts all 2^(k+1) subsets containing zero, so the default bound
-    keeps k <= 16.
+    keeps k <= 16; ``max_k=None`` lifts it.
     """
-    if ctx.k > max_k:
-        raise BoundExceededError(
-            f"ideal enumeration is exhaustive over subsets; bounded at k <= {max_k}, got k={ctx.k}"
-        )
+    check_bound(ctx.k, max_k, "ideal enumeration is exhaustive over subsets;")
     add_t, mul_t = ctx.tables()
     masks = kernels.all_ideal_masks(add_t, mul_t)
     ideals = [Ideal.from_mask(ctx, int(m)) for m in masks]
@@ -186,7 +183,7 @@ def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
     return True
 
 
-def is_maximal(ctx: SemiringCtx, ideal: Ideal, max_k: int = IDEAL_ENUM_BOUND) -> bool:
+def is_maximal(ctx: SemiringCtx, ideal: Ideal, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> bool:
     """Proper, with no ideal strictly between it and the whole semiring."""
     if not ideal.is_proper:
         return False
@@ -251,7 +248,7 @@ class SpectrumView:
         }
 
 
-def spectrum(ctx: SemiringCtx, max_k: int = IDEAL_ENUM_BOUND) -> SpectrumView:
+def spectrum(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> SpectrumView:
     """Prime ideals with closed sets V(I) = primes containing I."""
     ideals = enumerate_ideals(ctx, max_k=max_k)
     points = tuple(p for p in ideals if is_prime(ctx, p))
@@ -496,7 +493,7 @@ class IdealSemiring:
     ideals.
     """
 
-    def __init__(self, ctx: SemiringCtx, max_k: int = IDEAL_ENUM_BOUND):
+    def __init__(self, ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND):
         self.ctx = ctx
         self.ideals = tuple(enumerate_ideals(ctx, max_k=max_k))
         self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
@@ -561,12 +558,12 @@ class IdealSemiring:
         }
 
 
-def ideal_semiring(ctx: SemiringCtx, max_k: int = IDEAL_ENUM_BOUND) -> IdealSemiring:
+def ideal_semiring(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> IdealSemiring:
     """The semiring of ideals of ctx."""
     return IdealSemiring(ctx, max_k=max_k)
 
 
-def nilpotency_index(ctx: SemiringCtx, max_k: int = IDEAL_ENUM_BOUND) -> int:
+def nilpotency_index(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> int:
     """Least n for which every product of n nonzero proper ideals is {0, m}.
 
     Such an n always exists; 2^n > k is a guaranteed upper bound because

@@ -1,344 +1,78 @@
-"""Hot scan kernels over dense Cayley tables.
+"""Hot scan kernels over dense Cayley tables, vectorized with numpy.
 
 Tables are (n, n) integer arrays indexed by element codes (0 = zero,
 1..k = finite, k + 1 = many); code order equals the semiring's total
-order.  Every scan exists in two interchangeable backends: numba-jitted
-loops (default whenever numba imports) and vectorized numpy.  Set
-``INDIGO_NO_JIT=1`` to force the numpy path.  Both backends return the
-lexicographically first violating tuple so results compare exactly.
-
-Internally a violation is encoded as a flat row-major index (-1 when
-the scan is clean); the public wrappers decode it to a tuple of codes
-or ``None``.
+order.  Each law scan builds the boolean array of violations and
+returns its lexicographically first index as a tuple of codes, or
+``None`` when the law holds.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Optional
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(fn):
-            return fn
-
-        return wrap
-
-
-def _jit_disabled() -> bool:
-    return os.environ.get("INDIGO_NO_JIT", "").strip().lower() in ("1", "true", "yes")
-
-
-USE_JIT = HAS_NUMBA and not _jit_disabled()
-
-BACKEND = "numba" if USE_JIT else "numpy"
+BACKEND = "numpy"
 
 _IDEAL_CHUNK = 4096
 
 
-def _decode(flat: int, n: int, arity: int) -> Optional[tuple]:
-    if flat < 0:
+def _first(bad: np.ndarray) -> Optional[tuple]:
+    if not bad.any():  # far cheaper than argwhere on the clean (usual) case
         return None
-    out = []
-    for _ in range(arity):
-        out.append(int(flat % n))
-        flat //= n
-    return tuple(reversed(out))
-
-
-# --- commutativity ---------------------------------------------------------
-
-
-@njit(cache=True)
-def _commut_break_jit(t):  # pragma: no cover - compiled
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(n):
-            if t[a, b] != t[b, a]:
-                return a * n + b
-    return -1
-
-
-def _commut_break_np(t):
-    bad = t != t.T
-    if not bad.any():
-        return -1
-    n = t.shape[0]
-    a, b = np.argwhere(bad)[0]
-    return int(a) * n + int(b)
+    return tuple(int(c) for c in np.argwhere(bad)[0])
 
 
 def first_commutativity_break(t) -> Optional[tuple]:
-    flat = _commut_break_jit(t) if USE_JIT else _commut_break_np(t)
-    return _decode(int(flat), t.shape[0], 2)
-
-
-# --- associativity ---------------------------------------------------------
-
-
-@njit(cache=True)
-def _assoc_break_jit(t):  # pragma: no cover - compiled
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(n):
-            ab = t[a, b]
-            for c in range(n):
-                if t[ab, c] != t[a, t[b, c]]:
-                    return (a * n + b) * n + c
-    return -1
-
-
-def _assoc_break_np(t):
-    lhs = t[t, :]  # [a, b, c] = t[t[a, b], c]
-    rhs = t[:, t]  # [a, b, c] = t[a, t[b, c]]
-    bad = lhs != rhs
-    if not bad.any():
-        return -1
-    n = t.shape[0]
-    a, b, c = np.argwhere(bad)[0]
-    return (int(a) * n + int(b)) * n + int(c)
+    """First (a, b) with t[a, b] != t[b, a]."""
+    return _first(t != t.T)
 
 
 def first_associativity_break(t) -> Optional[tuple]:
-    flat = _assoc_break_jit(t) if USE_JIT else _assoc_break_np(t)
-    return _decode(int(flat), t.shape[0], 3)
-
-
-# --- distributivity --------------------------------------------------------
-
-
-@njit(cache=True)
-def _distrib_break_jit(add_t, mul_t):  # pragma: no cover - compiled
-    n = add_t.shape[0]
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if mul_t[a, add_t[b, c]] != add_t[mul_t[a, b], mul_t[a, c]]:
-                    return (a * n + b) * n + c
-    return -1
-
-
-def _distrib_break_np(add_t, mul_t):
-    lhs = mul_t[:, add_t]  # [a, b, c] = mul_t[a, add_t[b, c]]
-    rhs = add_t[mul_t[:, :, None], mul_t[:, None, :]]
-    bad = lhs != rhs
-    if not bad.any():
-        return -1
-    n = add_t.shape[0]
-    a, b, c = np.argwhere(bad)[0]
-    return (int(a) * n + int(b)) * n + int(c)
+    """First (a, b, c) with t[t[a, b], c] != t[a, t[b, c]]."""
+    return _first(t[t, :] != t[:, t])
 
 
 def first_distributivity_break(add_t, mul_t) -> Optional[tuple]:
-    flat = _distrib_break_jit(add_t, mul_t) if USE_JIT else _distrib_break_np(add_t, mul_t)
-    return _decode(int(flat), add_t.shape[0], 3)
-
-
-# --- identity and absorption ----------------------------------------------
-
-
-@njit(cache=True)
-def _identity_break_jit(t, e):  # pragma: no cover - compiled
-    n = t.shape[0]
-    for a in range(n):
-        if t[e, a] != a or t[a, e] != a:
-            return a
-    return -1
-
-
-def _identity_break_np(t, e):
-    n = t.shape[0]
-    idx = np.arange(n)
-    bad = (t[e, :] != idx) | (t[:, e] != idx)
-    if not bad.any():
-        return -1
-    return int(np.flatnonzero(bad)[0])
+    """First (a, b, c) with a * (b + c) != a * b + a * c."""
+    lhs = mul_t[:, add_t]  # [a, b, c] = mul_t[a, add_t[b, c]]
+    rhs = add_t[mul_t[:, :, None], mul_t[:, None, :]]
+    return _first(lhs != rhs)
 
 
 def first_identity_break(t, e: int) -> Optional[tuple]:
     """First a with t[e, a] != a or t[a, e] != a."""
-    flat = _identity_break_jit(t, e) if USE_JIT else _identity_break_np(t, e)
-    return _decode(int(flat), t.shape[0], 1)
-
-
-@njit(cache=True)
-def _absorb_break_jit(t, z):  # pragma: no cover - compiled
-    n = t.shape[0]
-    for a in range(n):
-        if t[z, a] != z or t[a, z] != z:
-            return a
-    return -1
-
-
-def _absorb_break_np(t, z):
-    bad = (t[z, :] != z) | (t[:, z] != z)
-    if not bad.any():
-        return -1
-    return int(np.flatnonzero(bad)[0])
+    idx = np.arange(t.shape[0])
+    return _first((t[e, :] != idx) | (t[:, e] != idx))
 
 
 def first_absorption_break(t, z: int) -> Optional[tuple]:
     """First a with t[z, a] != z or t[a, z] != z."""
-    flat = _absorb_break_jit(t, z) if USE_JIT else _absorb_break_np(t, z)
-    return _decode(int(flat), t.shape[0], 1)
-
-
-# --- zero divisors and zero sums -------------------------------------------
-
-
-@njit(cache=True)
-def _zero_divisor_jit(mul_t):  # pragma: no cover - compiled
-    n = mul_t.shape[0]
-    for a in range(1, n):
-        for b in range(1, n):
-            if mul_t[a, b] == 0:
-                return a * n + b
-    return -1
-
-
-def _zero_divisor_np(mul_t):
-    bad = mul_t == 0
-    bad = bad.copy()
-    bad[0, :] = False
-    bad[:, 0] = False
-    if not bad.any():
-        return -1
-    n = mul_t.shape[0]
-    a, b = np.argwhere(bad)[0]
-    return int(a) * n + int(b)
+    return _first((t[z, :] != z) | (t[:, z] != z))
 
 
 def first_zero_divisor(mul_t) -> Optional[tuple]:
     """First pair of nonzero codes whose product is zero."""
-    flat = _zero_divisor_jit(mul_t) if USE_JIT else _zero_divisor_np(mul_t)
-    return _decode(int(flat), mul_t.shape[0], 2)
-
-
-@njit(cache=True)
-def _zero_sum_jit(add_t):  # pragma: no cover - compiled
-    n = add_t.shape[0]
-    for a in range(n):
-        for b in range(n):
-            if a == 0 and b == 0:
-                continue
-            if add_t[a, b] == 0:
-                return a * n + b
-    return -1
-
-
-def _zero_sum_np(add_t):
-    bad = add_t == 0
-    bad = bad.copy()
-    bad[0, 0] = False
-    if not bad.any():
-        return -1
-    n = add_t.shape[0]
-    a, b = np.argwhere(bad)[0]
-    return int(a) * n + int(b)
+    bad = mul_t == 0
+    bad[0, :] = False
+    bad[:, 0] = False
+    return _first(bad)
 
 
 def first_zero_sum(add_t) -> Optional[tuple]:
     """First pair other than (0, 0) whose sum is zero."""
-    flat = _zero_sum_jit(add_t) if USE_JIT else _zero_sum_np(add_t)
-    return _decode(int(flat), add_t.shape[0], 2)
-
-
-# --- order compatibility ----------------------------------------------------
-
-
-@njit(cache=True)
-def _monotone_break_jit(t):  # pragma: no cover - compiled
-    n = t.shape[0]
-    for a in range(n):
-        for b in range(a + 1, n):
-            for c in range(n):
-                if t[a, c] > t[b, c]:
-                    return (a * n + b) * n + c
-    return -1
-
-
-def _monotone_break_np(t):
-    n = t.shape[0]
-    bad = t[:, None, :] > t[None, :, :]  # [a, b, c] = t[a, c] > t[b, c]
-    upper = np.triu(np.ones((n, n), dtype=bool), 1)
-    bad &= upper[:, :, None]
-    if not bad.any():
-        return -1
-    a, b, c = np.argwhere(bad)[0]
-    return (int(a) * n + int(b)) * n + int(c)
+    bad = add_t == 0
+    bad[0, 0] = False
+    return _first(bad)
 
 
 def first_monotonicity_break(t) -> Optional[tuple]:
     """First (a, b, c) with a < b in code order but t[a, c] > t[b, c]."""
-    flat = _monotone_break_jit(t) if USE_JIT else _monotone_break_np(t)
-    return _decode(int(flat), t.shape[0], 3)
-
-
-# --- ideal enumeration ------------------------------------------------------
-
-
-@njit(cache=True)
-def _ideal_masks_jit(add_t, mul_t):  # pragma: no cover - compiled
-    n = add_t.shape[0]
-    total = 1 << (n - 1)
-    out = np.empty(total, dtype=np.int64)
-    count = 0
-    for part in range(total):
-        full = (part << 1) | 1  # bit c set <=> code c is a member; zero always in
-        ok = True
-        for a in range(n):
-            if not (full >> a) & 1:
-                continue
-            for b in range(a, n):
-                if (full >> b) & 1 and not (full >> add_t[a, b]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-            for s in range(n):
-                if not (full >> mul_t[s, a]) & 1:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            out[count] = full
-            count += 1
-    return out[:count]
-
-
-def _ideal_masks_np(add_t, mul_t):
-    n = add_t.shape[0]
-    total = 1 << (n - 1)
-    bits = np.arange(n, dtype=np.int64)
-    add_flat = add_t.ravel().astype(np.int64)
-    mul_flat = mul_t.ravel().astype(np.int64)
-    found = []
-    for start in range(0, total, _IDEAL_CHUNK):
-        parts = np.arange(start, min(start + _IDEAL_CHUNK, total), dtype=np.int64)
-        full = (parts << 1) | 1
-        member = ((full[:, None] >> bits[None, :]) & 1).astype(bool)  # (S, n)
-        sums_in = member[:, add_flat].reshape(-1, n, n)
-        closed = np.all(~(member[:, :, None] & member[:, None, :]) | sums_in, axis=(1, 2))
-        prods_in = member[:, mul_flat].reshape(-1, n, n)  # [i, s, a] = member of mul_t[s, a]
-        absorbed = np.all(~member[:, None, :] | prods_in, axis=(1, 2))
-        good = full[closed & absorbed]
-        if good.size:
-            found.append(good)
-    if not found:
-        return np.empty(0, dtype=np.int64)
-    return np.concatenate(found)
+    n = t.shape[0]
+    bad = t[:, None, :] > t[None, :, :]  # [a, b, c] = t[a, c] > t[b, c]
+    bad &= np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    return _first(bad)
 
 
 def all_ideal_masks(add_t, mul_t) -> np.ndarray:
@@ -348,6 +82,19 @@ def all_ideal_masks(add_t, mul_t) -> np.ndarray:
     subsets containing zero; each is tested for closure under addition
     and for absorbing products with arbitrary elements.
     """
-    if USE_JIT:
-        return np.asarray(_ideal_masks_jit(add_t, mul_t), dtype=np.int64)
-    return _ideal_masks_np(add_t, mul_t)
+    n = add_t.shape[0]
+    total = 1 << (n - 1)
+    bits = np.arange(n, dtype=np.int64)
+    add_flat = add_t.ravel().astype(np.int64)
+    mul_flat = mul_t.ravel().astype(np.int64)
+    found = [np.empty(0, dtype=np.int64)]
+    for start in range(0, total, _IDEAL_CHUNK):
+        parts = np.arange(start, min(start + _IDEAL_CHUNK, total), dtype=np.int64)
+        full = (parts << 1) | 1  # zero is always a member
+        member = ((full[:, None] >> bits[None, :]) & 1).astype(bool)  # (S, n)
+        sums_in = member[:, add_flat].reshape(-1, n, n)
+        closed = np.all(~(member[:, :, None] & member[:, None, :]) | sums_in, axis=(1, 2))
+        prods_in = member[:, mul_flat].reshape(-1, n, n)  # [i, s, a] = member of mul_t[s, a]
+        absorbed = np.all(~member[:, None, :] | prods_in, axis=(1, 2))
+        found.append(full[closed & absorbed])
+    return np.concatenate(found)

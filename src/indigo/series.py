@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import MANY, ZERO, BoundExceededError, ContextMismatchError, Elem, SemiringCtx, fin
+from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound, fin
 
 ORACLE_BOUND = 6
 
@@ -301,6 +301,8 @@ def idempotent_series_from_generators(
     for g in gen_list:
         if not isinstance(g, int) or g < 1:
             raise ValueError(f"generators must be integers >= 1, got {g!r}")
+    if not isinstance(depth, int) or depth < 0:
+        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     reach = [False] * (depth + 1)
     reach[0] = True
     for i in range(1, depth + 1):
@@ -343,18 +345,16 @@ def _codes_is_unit(mul_t, g: tuple) -> bool:
     return any(int(mul_t[g[0], c]) == 1 for c in range(n))
 
 
-def factorization_oracle(f: Poly, max_k: int = ORACLE_BOUND) -> Optional[tuple]:
+def factorization_oracle(f: Poly, max_k: Optional[int] = ORACLE_BOUND) -> Optional[tuple]:
     """Search every factorization of f into two nonunit factors.
 
     Returns the first witness pair in a fixed enumeration order, or
     ``None`` when f is irreducible.  Exhaustive over coefficient tuples,
-    so the bound keeps k <= ``max_k`` and the degree at most 2.
+    so the bound keeps k <= ``max_k`` (``None``: no bound) and the
+    degree at most 2.
     """
     ctx = f.ctx
-    if ctx.k > max_k:
-        raise BoundExceededError(
-            f"factorization search is exhaustive; bounded at k <= {max_k}, got k={ctx.k}"
-        )
+    check_bound(ctx.k, max_k, "factorization search is exhaustive;")
     deg = f.degree()
     if deg == NEG_INFINITY:
         raise ValueError("the zero polynomial is outside the oracle's scope")

@@ -2,8 +2,8 @@
 
 One test per criterion; each prints a single PASS line with its elapsed
 time (visible with ``pytest tests/test_acceptance.py -v -s``).  Stated
-time budgets are asserted after a JIT warm-up, so a failure here means
-either a wrong result or a genuine performance regression.
+time budgets are asserted, so a failure here means either a wrong
+result or a genuine performance regression.
 """
 
 import itertools
@@ -11,8 +11,6 @@ import os
 import subprocess
 import sys
 import time
-
-import pytest
 
 from indigo import graphs
 from indigo.core import MANY, ZERO, SemiringCtx, verify_laws
@@ -36,13 +34,6 @@ from indigo.series import (
     quadratic_irreducible,
     ts_is_idempotent_window,
 )
-
-
-@pytest.fixture(scope="module", autouse=True)
-def warm_kernels():
-    # compile the scan kernels before any timed section
-    verify_laws(SemiringCtx(2))
-    enumerate_ideals(SemiringCtx(2))
 
 
 def report(number: int, label: str, started: float, budget: float | None = None) -> None:

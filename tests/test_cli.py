@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 import indigo
+from indigo import checks, ideals
 from indigo.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
 
 
@@ -292,6 +293,12 @@ def test_series_requires_gens_or_check(capsys):
     assert code == EXIT_USAGE
 
 
+def test_series_negative_depth_is_a_usage_error(capsys):
+    code, _, err = run_cli(capsys, "series", "3", "--depth", "-1", "--gens", "2")
+    assert code == EXIT_USAGE
+    assert err.startswith("error:")
+
+
 def test_irreducible_with_oracle(capsys):
     code, report, _ = run_json(capsys, "irreducible", "4", "--alpha", "2", "--beta", "3", "--oracle")
     assert code == EXIT_OK
@@ -358,6 +365,11 @@ def test_verify_all_catches_mutants(capsys, monkeypatch):
     assert code == EXIT_VIOLATED
 
 
+def test_unsafe_sweep_lifts_the_ideal_bound():
+    k = ideals.IDEAL_ENUM_BOUND + 1
+    assert checks._check_ideal_lattice(k, None, unsafe=True) is None
+
+
 def test_unknown_mutant_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setenv("INDIGO_MUTANT", "bogus")
     code, _, err = run_cli(capsys, "laws", "2")
@@ -413,27 +425,32 @@ def run_child(args, env):
 
 
 def test_module_entry_point_runs():
-    proc = run_child(["-m", "indigo", "laws", "2"], child_env())
+    proc = run_child(["-m", "indigo", "verify-all", "--k-max", "2"], child_env())
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert "status: ok" in proc.stdout
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("claim ")]
+    assert len(lines) == 20
+    assert all(l.endswith(": pass") for l in lines)
 
 
 def test_module_entry_point_sees_mutant_env():
-    env = child_env(INDIGO_MUTANT="add-cap", INDIGO_NO_JIT="1")
+    env = child_env(INDIGO_MUTANT="add-cap")
     proc = run_child(["-m", "indigo", "laws", "2"], env)
     assert proc.returncode == EXIT_VIOLATED, proc.stdout + proc.stderr
     assert "status: violated" in proc.stdout
     assert "FAIL" in proc.stdout
 
 
-def test_module_entry_point_numpy_backend():
-    env = child_env(INDIGO_NO_JIT="1")
-    proc = run_child(["-m", "indigo", "verify-all", "--k-max", "2"], env)
-    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
-    assert "status: ok" in proc.stdout
-    lines = [l for l in proc.stdout.splitlines() if l.startswith("claim ")]
-    assert len(lines) == 20
-    assert all(l.endswith(": pass") for l in lines)
-    backend = run_child(["-c", "import indigo.kernels as k; print(k.BACKEND)"], env)
-    assert backend.returncode == 0, backend.stderr
-    assert backend.stdout.strip() == "numpy"
+def test_module_entry_point_survives_a_closed_pipe():
+    # the reader hangs up before any output, as `indigo table 30 | head -1` can
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "indigo", "table", "30"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+        env=child_env(),
+    )
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=300)
+    assert err == "", err
+    assert proc.returncode == EXIT_OK

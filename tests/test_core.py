@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -181,6 +182,26 @@ def test_mul_cap_mutant_breaks_laws():
     assert not reports["distributive"].holds
 
 
+def test_every_single_cell_corruption_breaks_a_law():
+    # the canonical map is onto the carrier, so its homomorphism law pins every cell
+    corruptions = 0
+    for k in range(1, 7):
+        clean = ctx(k).tables()
+        for which, table in enumerate(clean):
+            for i, j in np.ndindex(table.shape):
+                for wrong in range(k + 2):
+                    if wrong == table[i, j]:
+                        continue
+                    tables = [t.copy() for t in clean]
+                    tables[which][i, j] = wrong
+                    corrupted = ctx(k)
+                    corrupted._tables = tuple(tables)
+                    reports = verify_laws(corrupted)
+                    assert not all(r.holds for r in reports), (k, which, i, j, wrong)
+                    corruptions += 1
+    assert corruptions == 2176
+
+
 def test_mutant_from_environment(monkeypatch):
     monkeypatch.setenv("INDIGO_MUTANT", "add-cap")
     c = SemiringCtx(4)
@@ -200,6 +221,7 @@ def test_law_bound():
         verify_laws(ctx(LAW_CHECK_BOUND + 1))
     reports = verify_laws(ctx(LAW_CHECK_BOUND + 1), max_k=LAW_CHECK_BOUND + 1)
     assert all(r.holds for r in reports)
+    assert all(r.holds for r in verify_laws(ctx(LAW_CHECK_BOUND + 1), max_k=None))
 
 
 def test_bad_order():

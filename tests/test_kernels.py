@@ -1,69 +1,170 @@
-"""Backend parity: the jitted and numpy scan kernels must agree exactly,
-including which counterexample they report first."""
+"""The numpy scan kernels against plain-Python reference scans.
+
+Each reference loops over codes in lexicographic order and stops at the
+first violation, so a kernel must report exactly the same first
+counterexample, not just some counterexample.
+"""
 
 import numpy as np
 import pytest
 
 from indigo import kernels
-from indigo.core import SemiringCtx
+from indigo.core import ZERO, SemiringCtx
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA, reason="numba not installed")
 
-PAIR_KERNELS = [
-    (kernels._commut_break_jit, kernels._commut_break_np),
-    (kernels._assoc_break_jit, kernels._assoc_break_np),
-    (kernels._zero_divisor_jit, kernels._zero_divisor_np),
-    (kernels._zero_sum_jit, kernels._zero_sum_np),
-    (kernels._monotone_break_jit, kernels._monotone_break_np),
+def ref_commutativity(t):
+    n = t.shape[0]
+    for a in range(n):
+        for b in range(n):
+            if t[a, b] != t[b, a]:
+                return (a, b)
+    return None
+
+
+def ref_associativity(t):
+    n = t.shape[0]
+    for a in range(n):
+        for b in range(n):
+            ab = t[a, b]
+            for c in range(n):
+                if t[ab, c] != t[a, t[b, c]]:
+                    return (a, b, c)
+    return None
+
+
+def ref_distributivity(add_t, mul_t):
+    n = add_t.shape[0]
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if mul_t[a, add_t[b, c]] != add_t[mul_t[a, b], mul_t[a, c]]:
+                    return (a, b, c)
+    return None
+
+
+def ref_identity(t, e):
+    for a in range(t.shape[0]):
+        if t[e, a] != a or t[a, e] != a:
+            return (a,)
+    return None
+
+
+def ref_absorption(t, z):
+    for a in range(t.shape[0]):
+        if t[z, a] != z or t[a, z] != z:
+            return (a,)
+    return None
+
+
+def ref_zero_divisor(mul_t):
+    n = mul_t.shape[0]
+    for a in range(1, n):
+        for b in range(1, n):
+            if mul_t[a, b] == 0:
+                return (a, b)
+    return None
+
+
+def ref_zero_sum(add_t):
+    n = add_t.shape[0]
+    for a in range(n):
+        for b in range(n):
+            if (a, b) != (0, 0) and add_t[a, b] == 0:
+                return (a, b)
+    return None
+
+
+def ref_monotonicity(t):
+    n = t.shape[0]
+    for a in range(n):
+        for b in range(a + 1, n):
+            for c in range(n):
+                if t[a, c] > t[b, c]:
+                    return (a, b, c)
+    return None
+
+
+def ref_ideal_masks(add_t, mul_t):
+    n = add_t.shape[0]
+    add_t, mul_t = add_t.tolist(), mul_t.tolist()  # list lookups keep k = 16 under a second
+    out = []
+    for part in range(1 << (n - 1)):
+        full = (part << 1) | 1  # bit c set <=> code c is a member; zero always in
+        members = [c for c in range(n) if full >> c & 1]
+        absorbing = all(full >> mul_t[s][a] & 1 for a in members for s in range(n))
+        if absorbing and all(full >> add_t[a][b] & 1 for a in members for b in members):
+            out.append(full)
+    return out
+
+
+SINGLE_TABLE = [
+    (kernels.first_commutativity_break, ref_commutativity),
+    (kernels.first_associativity_break, ref_associativity),
+    (kernels.first_monotonicity_break, ref_monotonicity),
 ]
+
+
+def assert_kernels_match(add_t, mul_t):
+    for t in (add_t, mul_t):
+        for kernel, ref in SINGLE_TABLE:
+            assert kernel(t) == ref(t), kernel.__name__
+        for e in (0, 1):
+            assert kernels.first_identity_break(t, e) == ref_identity(t, e)
+            assert kernels.first_absorption_break(t, e) == ref_absorption(t, e)
+    assert kernels.first_distributivity_break(add_t, mul_t) == ref_distributivity(add_t, mul_t)
+    assert kernels.first_zero_divisor(mul_t) == ref_zero_divisor(mul_t)
+    assert kernels.first_zero_sum(add_t) == ref_zero_sum(add_t)
+    assert kernels.all_ideal_masks(add_t, mul_t).tolist() == ref_ideal_masks(add_t, mul_t)
 
 
 def tables(k, mutant=None):
     return SemiringCtx(k, mutant=mutant).tables()
 
 
-@needs_numba
+def seeded_tables(n, seed):
+    """Random tables, and clean tables with one random cell changed, so that
+    first counterexamples fall anywhere from the first index to none."""
+    rng = np.random.default_rng(seed)
+    pairs = [[rng.integers(0, n, size=(n, n), dtype=np.int16) for _ in range(2)]]
+    if n >= 3:
+        corrupted = [t.copy() for t in tables(n - 2)]
+        corrupted[seed % 2][rng.integers(n), rng.integers(n)] = rng.integers(n)
+        pairs.append(corrupted)
+    return pairs
+
+
+def test_backend_is_numpy():
+    assert kernels.BACKEND == "numpy"
+
+
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 @pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
-def test_single_table_kernels_agree(k, mutant):
-    add_t, mul_t = tables(k, mutant)
-    for t in (add_t, mul_t):
-        for jit_fn, np_fn in PAIR_KERNELS:
-            assert int(jit_fn(t)) == int(np_fn(t))
+def test_kernels_match_reference_on_semiring_tables(k, mutant):
+    assert_kernels_match(*tables(k, mutant))
 
 
-@needs_numba
-@pytest.mark.parametrize("k", [1, 2, 5, 16])
-@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
-def test_two_table_kernels_agree(k, mutant):
-    add_t, mul_t = tables(k, mutant)
-    assert int(kernels._distrib_break_jit(add_t, mul_t)) == int(
-        kernels._distrib_break_np(add_t, mul_t)
-    )
-    for e in (0, 1):
-        assert int(kernels._identity_break_jit(add_t, e)) == int(
-            kernels._identity_break_np(add_t, e)
-        )
-        assert int(kernels._absorb_break_jit(mul_t, e)) == int(
-            kernels._absorb_break_np(mul_t, e)
-        )
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("seed", range(6))
+def test_kernels_match_reference_on_seeded_tables(n, seed):
+    for add_t, mul_t in seeded_tables(n, seed):
+        assert_kernels_match(add_t, mul_t)
 
 
-@needs_numba
-@pytest.mark.parametrize("k", [1, 2, 4, 8])
-@pytest.mark.parametrize("mutant", [None, "mul-cap"])
-def test_ideal_mask_backends_agree(k, mutant):
-    add_t, mul_t = tables(k, mutant)
-    jit_masks = np.asarray(kernels._ideal_masks_jit(add_t, mul_t))
-    np_masks = kernels._ideal_masks_np(add_t, mul_t)
-    assert jit_masks.tolist() == np_masks.tolist()
+def test_seeded_tables_break_laws_at_varied_positions():
+    # guards the test above against inputs whose first counterexample never moves
+    seen = set()
+    for n in range(2, 9):
+        for seed in range(6):
+            for add_t, mul_t in seeded_tables(n, seed):
+                seen.add(kernels.first_associativity_break(add_t))
+                seen.add(kernels.first_distributivity_break(add_t, mul_t))
+    assert None in seen
+    assert len(seen) > 20
 
 
-def brute_force_ideal_masks(k):
+def brute_force_ideal_masks(k, mutant=None):
     """Independent oracle: test closure directly on raw element subsets."""
-    from indigo.core import ZERO, SemiringCtx
-
-    ctx = SemiringCtx(k)
+    ctx = SemiringCtx(k, mutant=mutant)
     elems = ctx.elements()
     out = []
     n = len(elems)
@@ -80,23 +181,17 @@ def brute_force_ideal_masks(k):
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_ideal_masks_match_brute_force(k):
-    add_t, mul_t = tables(k)
-    got = sorted(int(m) for m in kernels.all_ideal_masks(add_t, mul_t))
-    assert got == brute_force_ideal_masks(k)
+    for mutant in (None, "mul-cap"):
+        add_t, mul_t = tables(k, mutant)
+        got = sorted(int(m) for m in kernels.all_ideal_masks(add_t, mul_t))
+        assert got == brute_force_ideal_masks(k, mutant), mutant
 
 
 def test_first_counterexample_is_lexicographic():
     # two commutativity breaks; the scan must report (1, 2), not (2, 1) or (2, 2)
     t = np.array([[0, 1, 2], [1, 2, 9], [2, 0, 7]], dtype=np.int16)
-    assert kernels._commut_break_np(t) == 1 * 3 + 2
-    if kernels.HAS_NUMBA:
-        assert int(kernels._commut_break_jit(t)) == 1 * 3 + 2
-
-
-def test_decode_helper():
-    assert kernels._decode(-1, 5, 3) is None
-    assert kernels._decode((1 * 5 + 2) * 5 + 3, 5, 3) == (1, 2, 3)
-    assert kernels._decode(7, 10, 2) == (0, 7)
+    assert kernels.first_commutativity_break(t) == (1, 2)
+    assert ref_commutativity(t) == (1, 2)
 
 
 def test_public_wrappers_on_clean_tables():
@@ -115,3 +210,4 @@ def test_public_wrappers_report_breaks():
     add_t, mul_t = tables(4, mutant="add-cap")
     ce = kernels.first_distributivity_break(add_t, mul_t)
     assert ce is not None and len(ce) == 3
+    assert all(type(c) is int for c in ce)
