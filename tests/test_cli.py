@@ -425,12 +425,9 @@ def run_child(args, env):
 
 
 def test_module_entry_point_runs():
-    proc = run_child(["-m", "indigo", "verify-all", "--k-max", "2"], child_env())
+    proc = run_child(["-m", "indigo", "laws", "2"], child_env())
     assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
     assert "status: ok" in proc.stdout
-    lines = [l for l in proc.stdout.splitlines() if l.startswith("claim ")]
-    assert len(lines) == 20
-    assert all(l.endswith(": pass") for l in lines)
 
 
 def test_module_entry_point_sees_mutant_env():
@@ -441,6 +438,17 @@ def test_module_entry_point_sees_mutant_env():
     assert "FAIL" in proc.stdout
 
 
+def test_module_entry_point_numpy_backend():
+    env = child_env()
+    proc = run_child(["-m", "indigo", "verify-all", "--k-max", "2"], env)
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert "status: ok" in proc.stdout
+    lines = [l for l in proc.stdout.splitlines() if l.startswith("claim ")]
+    assert len(lines) == 20
+    assert all(l.endswith(": pass") for l in lines)
+    backend = run_child(["-c", "import indigo.kernels as k; print(k.BACKEND)"], env)
+    assert backend.returncode == 0, backend.stderr
+    assert backend.stdout.strip() == "numpy"
 def test_module_entry_point_survives_a_closed_pipe():
     # the reader hangs up before any output, as `indigo table 30 | head -1` can
     proc = subprocess.Popen(
