@@ -55,6 +55,25 @@ def _fmt_scalar(value) -> str:
     return json.dumps(value)
 
 
+def _out(text: str) -> None:
+    """Print ``text`` to stdout.
+
+    A reader that stops early (``indigo table 30 | head -1``) is not an
+    error: the rest of the output goes to /dev/null and the command's exit
+    code stands.
+    """
+    try:
+        print(text)
+    except BrokenPipeError:
+        _drop_stdout()
+
+
+def _drop_stdout() -> None:
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def _emit(payload: dict, claims: list, as_json: bool, status: Optional[str] = None) -> int:
     if status is None:
         status = "ok" if all(c.passed for c in claims) else "violated"
@@ -64,17 +83,17 @@ def _emit(payload: dict, claims: list, as_json: bool, status: Optional[str] = No
             "payload": payload,
             "claims": [c.to_json() for c in claims],
         }
-        print(json.dumps(report, indent=2))
+        _out(json.dumps(report, indent=2))
     else:
-        print(f"status: {status}")
+        _out(f"status: {status}")
         for key, value in payload.items():
-            print(f"{key}: {_fmt_scalar(value)}")
+            _out(f"{key}: {_fmt_scalar(value)}")
         for c in claims:
             verdict = "pass" if c.passed else "FAIL"
             line = f"claim {c.name} [{c.tag}]: {verdict}"
             if c.detail:
                 line += f" ({c.detail})"
-            print(line)
+            _out(line)
     return EXIT_OK if status == "ok" else EXIT_VIOLATED
 
 
@@ -135,12 +154,12 @@ def _cmd_table(args) -> int:
             ],
         }
         return _emit(payload, [], True)
-    print("status: ok")
-    print(f"k: {args.k}")
-    print("addition:")
-    print("\n".join(_render_table_text(ctx, add_t)))
-    print("multiplication:")
-    print("\n".join(_render_table_text(ctx, mul_t)))
+    _out("status: ok")
+    _out(f"k: {args.k}")
+    _out("addition:")
+    _out("\n".join(_render_table_text(ctx, add_t)))
+    _out("multiplication:")
+    _out("\n".join(_render_table_text(ctx, mul_t)))
     return EXIT_OK
 
 
@@ -452,31 +471,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run(args) -> int:
-    try:
-        return args.fn(args)
-    except BoundExceededError as exc:
-        if args.json:
-            print(json.dumps({"status": "bound-exceeded", "error": str(exc)}, indent=2))
-        else:
-            print(f"status: bound-exceeded\nerror: {exc}")
-        return EXIT_BOUND
-    except (ContextMismatchError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    code = EXIT_OK
     try:
-        code = _run(args)
-        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        code = args.fn(args)
+    except BoundExceededError as exc:
+        if args.json:
+            _out(json.dumps({"status": "bound-exceeded", "error": str(exc)}, indent=2))
+        else:
+            _out(f"status: bound-exceeded\nerror: {exc}")
+        code = EXIT_BOUND
+    except (ContextMismatchError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        code = EXIT_USAGE
+    try:
+        sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
     except BrokenPipeError:
-        # the reader stopped early (`indigo table 30 | head -1`): send the
-        # rest of the output, and the final flush at exit, to /dev/null
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _drop_stdout()
     return code
 
 

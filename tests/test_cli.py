@@ -365,9 +365,17 @@ def test_verify_all_catches_mutants(capsys, monkeypatch):
     assert code == EXIT_VIOLATED
 
 
-def test_unsafe_sweep_lifts_the_ideal_bound():
-    k = ideals.IDEAL_ENUM_BOUND + 1
-    assert checks._check_ideal_lattice(k, None, unsafe=True) is None
+@pytest.mark.parametrize(
+    "check",
+    [
+        checks._check_ideal_lattice,
+        checks._check_ideal_primes,
+        checks._check_ideal_austere,
+        checks._check_spectrum,
+    ],
+)
+def test_unsafe_sweep_lifts_the_ideal_bound(check):
+    assert check(ideals.IDEAL_ENUM_BOUND + 1, None, unsafe=True) is None
 
 
 def test_unknown_mutant_is_a_usage_error(capsys, monkeypatch):
@@ -449,16 +457,45 @@ def test_module_entry_point_numpy_backend():
     backend = run_child(["-c", "import indigo.kernels as k; print(k.BACKEND)"], env)
     assert backend.returncode == 0, backend.stderr
     assert backend.stdout.strip() == "numpy"
-def test_module_entry_point_survives_a_closed_pipe():
-    # the reader hangs up before any output, as `indigo table 30 | head -1` can
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "indigo", "table", "30"],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-        text=True,
-        env=child_env(),
-    )
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=300)
-    assert err == "", err
-    assert proc.returncode == EXIT_OK
+
+
+def run_child_into_closed_pipe(args, env):
+    """Run a child whose stdout is a pipe that nobody reads from.
+
+    The read end is closed before the child starts, so the child's first
+    write to stdout fails with EPIPE, as with `indigo table 30 | head -1`.
+    """
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run(
+            [sys.executable, *args],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=300,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, mutant, expected",
+    [
+        (["table", "30"], None, EXIT_OK),
+        (["laws", "2"], "add-cap", EXIT_VIOLATED),
+        (["laws", "65"], None, EXIT_BOUND),
+        (["laws", "65", "--json"], None, EXIT_BOUND),
+    ],
+    ids=["table-30", "laws-2-add-cap", "laws-65", "laws-65-json"],
+)
+def test_closed_pipe_keeps_the_exit_code(argv, mutant, expected, unbuffered):
+    env = child_env(**({"INDIGO_MUTANT": mutant} if mutant else {}))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    proc = run_child_into_closed_pipe(["-m", "indigo", *argv], env)
+    assert proc.stderr == "", proc.stderr
+    assert proc.returncode == expected

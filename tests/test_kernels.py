@@ -133,10 +133,6 @@ def seeded_tables(n, seed):
     return pairs
 
 
-def test_backend_is_numpy():
-    assert kernels.BACKEND == "numpy"
-
-
 @pytest.mark.parametrize("k", [1, 2, 5, 16])
 @pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
 def test_kernels_match_reference_on_semiring_tables(k, mutant):
