@@ -203,7 +203,7 @@ def _check_ideal_maximal(k_max: int, mutant, unsafe: bool) -> Optional[str]:
         maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
         for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
             want = ideal.members == maximal
-            if ideals.is_maximal(ctx, ideal, max_k=limit) != want:
+            if ideals.is_maximal(ctx, ideal) != want:
                 return f"k={k}: maximality of {ideal.render()} is {not want}"
     return None
 

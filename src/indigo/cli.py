@@ -7,7 +7,9 @@ quadratic irreducibility, and a verify-all theorem sweep.  Output is
 plain text by default and a structured report with --json.
 
 Exit codes: 0 all claims hold, 1 a claim is violated, 2 usage error,
-3 an exhaustive-search bound was exceeded (lift it with --unsafe-bound).
+3 an exhaustive-search bound was exceeded (lift it with --unsafe-bound),
+4 an internal error (a fault in indigo itself, reported on one stderr
+line as ``error: internal: <Type>: <message>``).
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ EXIT_OK = 0
 EXIT_VIOLATED = 1
 EXIT_USAGE = 2
 EXIT_BOUND = 3
+EXIT_INTERNAL = 4
 
 TABLE_RENDER_BOUND = 32
 
@@ -485,6 +488,9 @@ def main(argv=None) -> int:
     except (ContextMismatchError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         code = EXIT_USAGE
+    except Exception as exc:  # a fault in indigo must not read as a violated claim
+        print(f"error: internal: {type(exc).__name__}: {exc}", file=sys.stderr)
+        code = EXIT_INTERNAL
     try:
         sys.stdout.flush()  # buffered output meets a closed pipe here, not at exit
     except BrokenPipeError:

@@ -7,6 +7,12 @@ nonzero ideal, the complement of 1 is the unique maximal ideal, and the
 only primes are {0} and that maximal ideal, so the Zariski spectrum is
 the two-point Sierpinski space.
 
+An ideal is a bitmask over element codes: bit c is set when the element
+with code c (``SemiringCtx.encode``) belongs to it.  All arithmetic in
+this module reads the Cayley tables of ``ctx.tables()``; elements appear
+only at the boundary, in arguments and in views such as
+``Ideal.members``.
+
 Enumeration is exhaustive over all subsets (2^(k+1) candidates) and is
 delegated to the scan kernels; the default bound keeps k <= 16.
 
@@ -22,103 +28,131 @@ from dataclasses import dataclass
 from itertools import permutations
 from typing import Iterable, Optional
 
+import numpy as np
+
 from . import kernels
-from .core import ZERO, Elem, SemiringCtx, check_bound
+from .core import ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound
 
 IDEAL_ENUM_BOUND = 16
 
 
-def _close_codes(ctx: SemiringCtx, seed: Iterable[int]) -> frozenset:
-    """Least ideal (as a code set) containing the seed codes."""
-    add_t, mul_t = ctx.tables()
-    n = ctx.size
-    members = set(seed)
-    members.add(0)
-    pending = list(members)
-    while pending:
-        a = pending.pop()
-        for b in list(members):
-            c = int(add_t[a, b])
-            if c not in members:
-                members.add(c)
-                pending.append(c)
-        for s in range(n):
-            c = int(mul_t[s, a])
-            if c not in members:
-                members.add(c)
-                pending.append(c)
-    return frozenset(members)
+def _codes(mask: int):
+    """The codes whose bits are set in ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _mask_of(codes: Iterable[int]) -> int:
-    mask = 0
-    for c in codes:
-        mask |= 1 << c
-    return mask
+def _member(ctx: SemiringCtx, mask: int) -> np.ndarray:
+    """Membership of every code of ctx in ``mask``, as a boolean array."""
+    return np.array([mask >> c & 1 for c in range(ctx.size)], dtype=bool)
+
+
+def _name(ctx: SemiringCtx, code) -> str:
+    return ctx.decode(code).render()
+
+
+class _Closure:
+    """The ideal closure of a code mask, read off ``ctx.tables()``.
+
+    Built once per context and reused across masks; ``product`` closes
+    the pairwise products of two masks.
+    """
+
+    def __init__(self, ctx: SemiringCtx):
+        add_t, mul_t = ctx.tables()
+        # bits of a + b and b + a, of x * y, and of every s * a
+        self._sum_bits = [
+            [1 << c | 1 << d for c, d in zip(row, col)]
+            for row, col in zip(add_t.tolist(), add_t.T.tolist())
+        ]
+        self._mul_bits = [[1 << c for c in row] for row in mul_t.tolist()]
+        self._absorb = [sum(1 << c for c in set(col)) for col in mul_t.T.tolist()]
+
+    def __call__(self, mask: int) -> int:
+        """Least ideal containing the codes in ``mask``."""
+        mask |= 1
+        members = list(_codes(mask))
+        for a in members:  # grows while it is walked
+            sums = self._sum_bits[a]
+            grown = self._absorb[a]
+            for b in members:
+                grown |= sums[b]
+            grown &= ~mask
+            if grown:
+                mask |= grown
+                members.extend(_codes(grown))
+        return mask
+
+    def product(self, a: int, b: int) -> int:
+        """Least ideal containing x * y for every x in ``a`` and y in ``b``."""
+        ys = list(_codes(b))
+        seed = 0
+        for x in _codes(a):
+            bits = self._mul_bits[x]
+            for y in ys:
+                seed |= bits[y]
+        return self(seed)
 
 
 @dataclass(frozen=True)
 class Ideal:
-    """An ideal of the order-k semiring, validated at construction."""
+    """An ideal of the order-k semiring as a code bitmask, validated at construction."""
 
     ctx: SemiringCtx
-    members: frozenset
+    mask: int
 
     def __post_init__(self):
-        ctx = self.ctx
-        for a in self.members:
-            ctx.check(a)
-        if ZERO not in self.members:
+        ctx, mask = self.ctx, self.mask
+        if mask < 0 or mask >> ctx.size:
+            raise ContextMismatchError(f"mask {mask} sets a code outside order k={ctx.k}")
+        if not mask & 1:
             raise ValueError("an ideal must contain zero")
-        for a in self.members:
-            for b in self.members:
-                if ctx.add(a, b) not in self.members:
-                    raise ValueError(
-                        f"not closed under addition: {a.render()} + {b.render()} escapes"
-                    )
-        for s in ctx.elements():
-            for a in self.members:
-                if ctx.mul(s, a) not in self.members:
-                    raise ValueError(
-                        f"not absorbing: {s.render()} * {a.render()} escapes"
-                    )
-
-    @classmethod
-    def from_codes(cls, ctx: SemiringCtx, codes: Iterable[int]) -> "Ideal":
-        return cls(ctx, frozenset(ctx.decode(c) for c in codes))
-
-    @classmethod
-    def from_mask(cls, ctx: SemiringCtx, mask: int) -> "Ideal":
-        return cls.from_codes(ctx, (c for c in range(ctx.size) if mask >> c & 1))
-
-    def sorted_members(self) -> tuple:
-        return tuple(sorted(self.members, key=Elem.sort_key))
+        add_t, mul_t = ctx.tables()
+        member = _member(ctx, mask)
+        inside = np.flatnonzero(member)
+        escapes = ~member[add_t[np.ix_(inside, inside)]]
+        if escapes.any():
+            i, j = np.argwhere(escapes)[0]
+            a, b = _name(ctx, inside[i]), _name(ctx, inside[j])
+            raise ValueError(f"not closed under addition: {a} + {b} escapes")
+        escapes = ~member[mul_t[:, inside]]
+        if escapes.any():
+            s, j = np.argwhere(escapes)[0]
+            raise ValueError(
+                f"not absorbing: {_name(ctx, s)} * {_name(ctx, inside[j])} escapes"
+            )
 
     @property
-    def mask(self) -> int:
-        return _mask_of(self.ctx.encode(a) for a in self.members)
+    def members(self) -> frozenset:
+        return frozenset(self.sorted_members())
+
+    def sorted_members(self) -> tuple:
+        return tuple(self.ctx.decode(c) for c in _codes(self.mask))
 
     def contains(self, a: Elem) -> bool:
-        return self.ctx.check(a) in self.members
+        return bool(self.mask >> self.ctx.encode(a) & 1)
 
     @property
     def is_zero(self) -> bool:
-        return len(self.members) == 1
+        return self.mask == 1
 
     @property
     def is_whole(self) -> bool:
-        return len(self.members) == self.ctx.size
+        return self.mask == (1 << self.ctx.size) - 1
 
     @property
     def is_proper(self) -> bool:
         return not self.is_whole
 
     def issubset(self, other: "Ideal") -> bool:
-        return self.members <= other.members
+        return not self.mask & ~other.mask
 
     def sort_key(self) -> tuple:
-        """Canonical order: cardinality, then lexicographic on sorted members."""
-        return (len(self.members), tuple(self.ctx.encode(a) for a in self.sorted_members()))
+        """Canonical order: cardinality, then lexicographic on sorted member codes."""
+        codes = tuple(_codes(self.mask))
+        return (len(codes), codes)
 
     def render(self) -> str:
         return "{" + ", ".join(a.render() for a in self.sorted_members()) + "}"
@@ -137,89 +171,68 @@ def enumerate_ideals(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) 
     keeps k <= 16; ``max_k=None`` lifts it.
     """
     check_bound(ctx.k, max_k, "ideal enumeration is exhaustive over subsets;")
-    add_t, mul_t = ctx.tables()
-    masks = kernels.all_ideal_masks(add_t, mul_t)
-    ideals = [Ideal.from_mask(ctx, int(m)) for m in masks]
-    ideals.sort(key=Ideal.sort_key)
-    return ideals
+    masks = kernels.all_ideal_masks(*ctx.tables())
+    return sorted((Ideal(ctx, int(m)) for m in masks), key=Ideal.sort_key)
 
 
 def ideal_generated(ctx: SemiringCtx, gens: Iterable[Elem]) -> Ideal:
     """Least ideal containing the given elements."""
-    codes = [ctx.encode(g) for g in gens]
-    return Ideal.from_codes(ctx, _close_codes(ctx, codes))
+    seed = 0
+    for g in gens:
+        seed |= 1 << ctx.encode(g)
+    return Ideal(ctx, _Closure(ctx)(seed))
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ctx != b.ctx:
         raise ValueError("ideal sum needs a common semiring")
-    ctx = a.ctx
-    seed = {ctx.encode(ctx.add(x, y)) for x in a.members for y in b.members}
-    return Ideal.from_codes(ctx, _close_codes(ctx, seed))
+    return Ideal(a.ctx, _Closure(a.ctx)(a.mask | b.mask))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """Least ideal containing all pairwise products."""
     if a.ctx != b.ctx:
         raise ValueError("ideal product needs a common semiring")
-    ctx = a.ctx
-    seed = {ctx.encode(ctx.mul(x, y)) for x in a.members for y in b.members}
-    return Ideal.from_codes(ctx, _close_codes(ctx, seed))
+    return Ideal(a.ctx, _Closure(a.ctx).product(a.mask, b.mask))
 
 
 def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Proper, and a product lands inside only if a factor does."""
     if not ideal.is_proper:
         return False
-    elems = ctx.elements()
-    for a in elems:
-        if a in ideal.members:
-            continue
-        for b in elems:
-            if b in ideal.members:
-                continue
-            if ctx.mul(a, b) in ideal.members:
-                return False
-    return True
+    member = _member(ctx, ideal.mask)
+    outside = np.flatnonzero(~member)
+    return not member[ctx.tables()[1][np.ix_(outside, outside)]].any()
 
 
-def is_maximal(ctx: SemiringCtx, ideal: Ideal, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> bool:
-    """Proper, with no ideal strictly between it and the whole semiring."""
+def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
+    """Proper, and adding any element outside it generates the whole semiring."""
     if not ideal.is_proper:
         return False
-    target = ideal.mask
+    close = _Closure(ctx)
     full = (1 << ctx.size) - 1
-    for other in enumerate_ideals(ctx, max_k=max_k):
-        mask = other.mask
-        if mask != target and mask != full and mask & target == target:
-            return False
-    return True
+    return all(close(ideal.mask | 1 << c) == full for c in _codes(full & ~ideal.mask))
 
 
 def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Whether a in I and a + b in I force b in I."""
-    for a in ideal.members:
-        for b in ctx.elements():
-            if ctx.add(a, b) in ideal.members and b not in ideal.members:
-                return False
-    return True
+    member = _member(ctx, ideal.mask)
+    sums_in = member[ctx.tables()[0][np.flatnonzero(member)]]  # [a, b]: a + b in I
+    return not (sums_in & ~member).any()
 
 
 def radical(ctx: SemiringCtx, ideal: Ideal) -> Ideal:
     """Elements some power of which lands in the ideal."""
-    out = set()
-    for a in ctx.elements():
-        seen = set()
-        p = a
-        while True:
-            if p in ideal.members:
-                out.add(ctx.encode(a))
-                break
-            if p in seen:
-                break
+    mul = ctx.tables()[1].tolist()
+    mask = 0
+    for a in range(ctx.size):
+        p, seen = a, set()
+        while not ideal.mask >> p & 1 and p not in seen:
             seen.add(p)
-            p = ctx.mul(p, a)
-    return Ideal.from_codes(ctx, out)
+            p = mul[p][a]
+        if ideal.mask >> p & 1:
+            mask |= 1 << a
+    return Ideal(ctx, mask)
 
 
 @dataclass(frozen=True)
@@ -290,6 +303,17 @@ def _tables_isomorphic(add_a, mul_a, zero_a, one_a, add_b, mul_b, zero_b, one_b)
     return False
 
 
+def _class_table(results: np.ndarray, label: np.ndarray, firsts: np.ndarray) -> tuple:
+    """Class table from the result class of every pair of pairs; ``label[i]``
+    is the first pair of pair i's class, ``firsts`` the first pair of each."""
+    if not np.array_equal(results, results[np.ix_(label, label)]):
+        raise RuntimeError(
+            "fraction operation is not representative-independent; "
+            "the unit set does not yield a semiring"
+        )
+    return tuple(map(tuple, results[np.ix_(firsts, firsts)].tolist()))
+
+
 class LocalizedSemiring:
     """Fractions of the order-k semiring over a multiplicatively closed set U.
 
@@ -307,94 +331,60 @@ class LocalizedSemiring:
             raise ValueError("U must not contain zero")
         if ctx.one not in unit_set:
             raise ValueError("U must contain 1")
-        for u in unit_set:
-            for v in unit_set:
-                if ctx.mul(u, v) not in unit_set:
+        add_t, mul_t = ctx.tables()
+        us = sorted(ctx.encode(u) for u in unit_set)
+        for u in us:
+            for v in us:
+                if mul_t[u, v] not in us:
                     raise ValueError(
-                        f"U is not multiplicatively closed: {u.render()} * {v.render()} escapes"
+                        "U is not multiplicatively closed: "
+                        f"{_name(ctx, u)} * {_name(ctx, v)} escapes"
                     )
         self.ctx = ctx
         self.unit_set = unit_set
 
-        us = sorted(unit_set, key=Elem.sort_key)
-        pairs = [(a, u) for a in ctx.elements() for u in us]
-        self.pairs = tuple(pairs)
-        np_ = len(pairs)
+        # pair i is the fraction num[i] / den[i]; [i, j] below is pair i with pair j
+        n = ctx.size
+        num = np.repeat(np.arange(n), len(us))
+        den = np.tile(us, n)
+        self._pairs = tuple(zip(num.tolist(), den.tolist()))
+        left = mul_t[num[:, None], den[None, :]]  # a * v
+        right = mul_t[num[None, :], den[:, None]]  # b * u
+        scaled = mul_t[us]  # row t: t * x for every code x
+        same = (scaled[:, :, None] == scaled[:, None, :]).any(axis=0)
+        related = same[left, right]
+        # each pair takes the least pair index of its component
+        label = np.arange(len(num))
+        while True:
+            lower = np.where(related, label[None, :], len(num)).min(axis=1)
+            if np.array_equal(lower, label):
+                break
+            label = lower
+        firsts, cls = np.unique(label, return_inverse=True)
+        self._classes = tuple(
+            tuple(self._pairs[i] for i in np.flatnonzero(cls == ci)) for ci in range(len(firsts))
+        )
+        self._class_at = np.full((n, n), -1, dtype=np.int64)  # [a, u]: class of a/u
+        self._class_at[num, den] = cls
 
-        parent = list(range(np_))
+        one = ctx.encode(ctx.one)
+        self.zero_index = int(self._class_at[0, one])
+        self.one_index = int(self._class_at[one, one])
+        units_prod = mul_t[den[:, None], den[None, :]]
+        self.add_table = _class_table(
+            self._class_at[add_t[left, right], units_prod], label, firsts
+        )
+        self.mul_table = _class_table(
+            self._class_at[mul_t[num[:, None], num[None, :]], units_prod], label, firsts
+        )
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+    def _decoded(self, pairs) -> tuple:
+        decode = self.ctx.decode
+        return tuple((decode(a), decode(u)) for a, u in pairs)
 
-        for i in range(np_):
-            for j in range(i + 1, np_):
-                if self._related(pairs[i], pairs[j]):
-                    ri, rj = find(i), find(j)
-                    if ri != rj:
-                        parent[max(ri, rj)] = min(ri, rj)
-
-        roots = {}
-        class_lists = []
-        for i in range(np_):
-            r = find(i)
-            if r not in roots:
-                roots[r] = len(class_lists)
-                class_lists.append([])
-            class_lists[roots[r]].append(pairs[i])
-        self._classes = tuple(tuple(c) for c in class_lists)
-        self._class_of_pair = {
-            (ctx.encode(a), ctx.encode(u)): ci
-            for ci, cl in enumerate(self._classes)
-            for (a, u) in cl
-        }
-
-        self.zero_index = self._lookup(ZERO, ctx.one)
-        self.one_index = self._lookup(ctx.one, ctx.one)
-        self.add_table = self._build_table(self._add_pair)
-        self.mul_table = self._build_table(self._mul_pair)
-
-    def _related(self, p, q) -> bool:
-        (a, u), (b, v) = p, q
-        ctx = self.ctx
-        left = ctx.mul(a, v)
-        right = ctx.mul(b, u)
-        return any(ctx.mul(t, left) == ctx.mul(t, right) for t in self.unit_set)
-
-    def _lookup(self, a: Elem, u: Elem) -> int:
-        return self._class_of_pair[(self.ctx.encode(a), self.ctx.encode(u))]
-
-    def _add_pair(self, p, q):
-        (a, u), (b, v) = p, q
-        ctx = self.ctx
-        return (ctx.add(ctx.mul(a, v), ctx.mul(b, u)), ctx.mul(u, v))
-
-    def _mul_pair(self, p, q):
-        (a, u), (b, v) = p, q
-        ctx = self.ctx
-        return (ctx.mul(a, b), ctx.mul(u, v))
-
-    def _build_table(self, op):
-        n = len(self._classes)
-        table = []
-        for ci in range(n):
-            row = []
-            for cj in range(n):
-                results = {
-                    self._lookup(*op(p, q))
-                    for p in self._classes[ci]
-                    for q in self._classes[cj]
-                }
-                if len(results) != 1:
-                    raise RuntimeError(
-                        "fraction operation is not representative-independent; "
-                        "the unit set does not yield a semiring"
-                    )
-                row.append(results.pop())
-            table.append(tuple(row))
-        return tuple(table)
+    @property
+    def pairs(self) -> tuple:
+        return self._decoded(self._pairs)
 
     @property
     def class_count(self) -> int:
@@ -403,10 +393,10 @@ class LocalizedSemiring:
     def class_of(self, a: Elem, u: Elem) -> int:
         if u not in self.unit_set:
             raise ValueError(f"denominator {u.render()} is not in U")
-        return self._lookup(self.ctx.check(a), u)
+        return int(self._class_at[self.ctx.encode(a), self.ctx.encode(u)])
 
     def class_members(self, index: int) -> tuple:
-        return self._classes[index]
+        return self._decoded(self._classes[index])
 
     def add_class(self, i: int, j: int) -> int:
         return self.add_table[i][j]
@@ -451,25 +441,22 @@ class LocalizedSemiring:
 
     def matches_ambient(self) -> bool:
         """Whether a -> a/1 is a table-preserving bijection onto the classes."""
-        ctx = self.ctx
-        elems = ctx.elements()
-        image = [self._lookup(a, ctx.one) for a in elems]
-        if len(set(image)) != len(image) or len(image) != self.class_count:
+        image = self._class_at[:, self.ctx.encode(self.ctx.one)]
+        if len(set(image.tolist())) != len(image) or len(image) != self.class_count:
             return False
-        for i, a in enumerate(elems):
-            for j, b in enumerate(elems):
-                if self.add_table[image[i]][image[j]] != image[ctx.encode(ctx.add(a, b))]:
-                    return False
-                if self.mul_table[image[i]][image[j]] != image[ctx.encode(ctx.mul(a, b))]:
-                    return False
-        return True
+        grid = np.ix_(image, image)
+        return all(
+            np.array_equal(np.array(classes)[grid], image[table])
+            for classes, table in zip((self.add_table, self.mul_table), self.ctx.tables())
+        )
 
     def to_json(self) -> dict:
         return {
             "unit_set": [u.to_json() for u in sorted(self.unit_set, key=Elem.sort_key)],
             "class_count": self.class_count,
             "classes": [
-                [[a.to_json(), u.to_json()] for (a, u) in cl] for cl in self._classes
+                [[a.to_json(), u.to_json()] for (a, u) in self.class_members(ci)]
+                for ci in range(self.class_count)
             ],
             "zero_class": self.zero_index,
             "one_class": self.one_index,
@@ -496,19 +483,16 @@ class IdealSemiring:
     def __init__(self, ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND):
         self.ctx = ctx
         self.ideals = tuple(enumerate_ideals(ctx, max_k=max_k))
-        self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
-        n = len(self.ideals)
-        self.zero_index = self._index[1]  # the ideal {0}
-        self.one_index = self._index[(1 << ctx.size) - 1]  # the whole semiring
-        smallest = _mask_of((0, ctx.size - 1))  # {0, m}
-        self.ls_index = self._index[smallest]
-        add_rows = []
-        mul_rows = []
-        for a in self.ideals:
-            add_rows.append(tuple(self._index[ideal_sum(a, b).mask] for b in self.ideals))
-            mul_rows.append(tuple(self._index[ideal_product(a, b).mask] for b in self.ideals))
-        self.add_table = tuple(add_rows)
-        self.mul_table = tuple(mul_rows)
+        index = self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
+        self.zero_index = index[1]  # the ideal {0}
+        self.one_index = index[(1 << ctx.size) - 1]  # the whole semiring
+        self.ls_index = index[1 | 1 << (ctx.size - 1)]  # {0, m}
+        close = _Closure(ctx)
+        masks = [ideal.mask for ideal in self.ideals]
+        self.add_table = tuple(tuple(index[close(a | b)] for b in masks) for a in masks)
+        self.mul_table = tuple(
+            tuple(index[close.product(a, b)] for b in masks) for a in masks
+        )
 
     def index_of(self, ideal: Ideal) -> int:
         return self._index[ideal.mask]
@@ -569,22 +553,13 @@ def nilpotency_index(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) 
     Such an n always exists; 2^n > k is a guaranteed upper bound because
     an n-fold product of elements >= 2 then exceeds k.
     """
-    ideals = enumerate_ideals(ctx, max_k=max_k)
-    smallest = _mask_of((0, ctx.size - 1))
     full = (1 << ctx.size) - 1
-    factor_masks = [i.mask for i in ideals if i.mask != 1 and i.mask != full]
-    mul_t = ctx.tables()[1]
-
-    def product_mask(ma: int, mb: int) -> int:
-        codes_a = [c for c in range(ctx.size) if ma >> c & 1]
-        codes_b = [c for c in range(ctx.size) if mb >> c & 1]
-        seed = {int(mul_t[x, y]) for x in codes_a for y in codes_b}
-        return _mask_of(_close_codes(ctx, seed))
-
-    current = set(factor_masks)
+    factors = [i.mask for i in enumerate_ideals(ctx, max_k=max_k) if i.mask not in (1, full)]
+    close = _Closure(ctx)
+    current = set(factors)
     n = 1
-    while current != {smallest}:
-        current = {product_mask(a, b) for a in current for b in factor_masks}
+    while current != {1 | 1 << (ctx.size - 1)}:
+        current = {close.product(a, b) for a in current for b in factors}
         n += 1
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")

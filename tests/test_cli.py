@@ -1,14 +1,27 @@
+import argparse
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import indigo
-from indigo import checks, ideals
-from indigo.cli import EXIT_BOUND, EXIT_OK, EXIT_USAGE, EXIT_VIOLATED, main
+from indigo import checks, cli, ideals
+from indigo.cli import (
+    EXIT_BOUND,
+    EXIT_INTERNAL,
+    EXIT_OK,
+    EXIT_USAGE,
+    EXIT_VIOLATED,
+    build_parser,
+    main,
+)
 
 
 def run_cli(capsys, *argv):
@@ -404,6 +417,77 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run_cli(capsys, "verify-all", "--k-max", "2", "--json")
     _, second, _ = run_cli(capsys, "verify-all", "--k-max", "2", "--json")
     assert first == second
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def broken(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(cli, "_cmd_graph", broken)
+    code, out, err = run_cli(capsys, "graph", "3", "--clique")
+    assert code == EXIT_INTERNAL
+    assert err == "error: internal: RecursionError: maximum recursion depth exceeded\n"
+    assert "Traceback" not in err
+    assert "status:" not in out
+
+
+# element tokens, lists, polynomial texts and junk for the string options
+FUZZ_TEXTS = (
+    "0", "1", "2", "3", "7", "m", "x", "-1", "",
+    "1,2", "1,m", "2,3,m", "0,1", "3,5", "2,x",
+    "1 + mX", "2 + X^2", "mX^3 + 1", "X^-1", "X +",
+)
+
+
+def fuzz_values(action):
+    if action.dest == "k":
+        return st.integers(1, 6)
+    if action.dest == "k_max":
+        # the sweep takes 1-4 s a call from --k-max 3 on; its argument shapes do not change
+        return st.integers(1, 2)
+    if action.type is int:
+        return st.integers(-2, 12)
+    return st.sampled_from(FUZZ_TEXTS)
+
+
+def fuzz_argv(data):
+    """Draw argv for one subcommand from the parser's own actions: the
+    positionals, the required options and up to three others."""
+    (subparsers,) = [
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    ]
+    name = data.draw(st.sampled_from(sorted(subparsers.choices)))
+    actions = [
+        a for a in subparsers.choices[name]._actions if not isinstance(a, argparse._HelpAction)
+    ]
+    optional = [a for a in actions if a.option_strings and not a.required and a.dest != "k_max"]
+    chosen = data.draw(st.lists(st.sampled_from(optional), unique=True, max_size=3))
+    argv = [name]
+    for action in actions:
+        if action in optional and action not in chosen:
+            continue
+        argv += action.option_strings[:1]
+        count = action.nargs if isinstance(action.nargs, int) else 1
+        values = st.lists(fuzz_values(action), min_size=count, max_size=count)
+        argv += [str(v) for v in data.draw(values)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(st.data())
+def test_fuzzed_argv_keeps_the_exit_code_contract(data):
+    argv = fuzz_argv(data)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse rejects the usage
+            code = exc.code
+    shown = f"{argv}: {err.getvalue()}"
+    assert code in (EXIT_OK, EXIT_VIOLATED, EXIT_USAGE, EXIT_BOUND), shown
+    assert "Traceback" not in err.getvalue(), shown
+    if code == EXIT_VIOLATED:
+        assert "status: violated" in out.getvalue() or '"status": "violated"' in out.getvalue()
 
 
 def child_env(**overrides):

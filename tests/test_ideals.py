@@ -26,23 +26,27 @@ def ctx(k):
     return SemiringCtx(k)
 
 
+def elem(t):
+    return ZERO if t == 0 else MANY if t == "m" else fin(t)
+
+
 def members(*tokens):
-    out = set()
-    for t in tokens:
-        if t == 0:
-            out.add(ZERO)
-        elif t == "m":
-            out.add(MANY)
-        else:
-            out.add(fin(t))
-    return frozenset(out)
+    return frozenset(elem(t) for t in tokens)
+
+
+def mask(c, *tokens):
+    """The code bitmask of the given elements, for ``Ideal(c, ...)``."""
+    return sum(1 << c.encode(elem(t)) for t in set(tokens))
+
+
+CONTEXTS = (None, "add-cap", "mul-cap")
 
 
 def brute_force_ideals(c):
-    """Independent oracle: closure tested directly on raw subsets."""
+    """Independent oracle: closure tested directly on raw subsets, as masks."""
     elems = c.elements()
     n = len(elems)
-    found = []
+    found = set()
     for bits in range(1 << n):
         subset = frozenset(elems[i] for i in range(n) if bits >> i & 1)
         if ZERO not in subset:
@@ -51,14 +55,14 @@ def brute_force_ideals(c):
             continue
         if not all(c.mul(s, a) in subset for s in elems for a in subset):
             continue
-        found.append(subset)
-    return set(found)
+        found.add(bits)
+    return found
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_enumeration_matches_brute_force(k):
     c = ctx(k)
-    got = {i.members for i in enumerate_ideals(c)}
+    got = {i.mask for i in enumerate_ideals(c)}
     assert got == brute_force_ideals(c)
 
 
@@ -109,14 +113,52 @@ def test_generated_ideal_is_least():
                     assert principal.issubset(other)
 
 
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_ideal_constructor_accepts_exactly_the_ideals(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    ideals = brute_force_ideals(c)
+    for m in range(1 << c.size):
+        if m in ideals:
+            assert Ideal(c, m).mask == m
+        else:
+            with pytest.raises(ValueError):
+                Ideal(c, m)
+    for m in (1 << c.size, (1 << (c.size + 1)) - 1, -1):
+        with pytest.raises(ValueError):
+            Ideal(c, m)
+
+
 def test_ideal_constructor_validates():
     c = ctx(3)
+    with pytest.raises(ValueError, match="an ideal must contain zero"):
+        Ideal(c, mask(c, 2))
+    with pytest.raises(ValueError, match=r"not closed under addition: 2 \+ 2 escapes"):
+        Ideal(c, mask(c, 0, 2))
+    with pytest.raises(ValueError, match=r"not closed under addition: 1 \+ 1 escapes"):
+        Ideal(c, mask(c, 0, 1, "m"))
+    # under add-cap, 3 + 3 sticks at 3, so {0, 3} is closed but 2 * 3 = m escapes
+    capped = SemiringCtx(3, mutant="add-cap")
+    with pytest.raises(ValueError, match=r"not absorbing: 2 \* 3 escapes"):
+        Ideal(capped, mask(capped, 0, 3))
     with pytest.raises(ValueError):
-        Ideal(c, members(2))  # no zero
+        Ideal(c, 1 << c.size)  # a code beyond m
+
+
+def test_ideal_views_follow_the_mask():
+    c = ctx(5)
+    ideal = Ideal(c, mask(c, 0, 3, 5, 4, "m"))
+    assert ideal.members == members(0, 3, 4, 5, "m")
+    assert ideal.sorted_members() == (ZERO, fin(3), fin(4), fin(5), MANY)
+    assert ideal.render() == "{0, 3, 4, 5, m}"
+    assert ideal.to_json() == [0, 3, 4, 5, "m"]
+    assert ideal.sort_key() == (5, (0, 3, 4, 5, 6))
+    assert ideal.contains(fin(4)) and not ideal.contains(fin(2))
     with pytest.raises(ValueError):
-        Ideal(c, members(0, 2))  # 2 + 2 = m escapes
-    with pytest.raises(ValueError):
-        Ideal(c, members(0, 1, "m"))  # 1 + 1 = 2 escapes
+        ideal.contains(fin(6))
+    for other in enumerate_ideals(c):
+        assert other.members == frozenset(e for e in c.elements() if other.contains(e))
+        assert other.issubset(ideal) == (other.members <= ideal.members)
 
 
 def test_primes_are_zero_and_complement_of_one():
@@ -138,7 +180,7 @@ def test_smallest_nonzero_prime_iff_order_one():
     # which happens at k = 1; at k >= 2 the witness is 2 * k = m
     for k in range(1, 9):
         c = ctx(k)
-        small = Ideal(c, members(0, "m"))
+        small = Ideal(c, mask(c, 0, "m"))
         assert is_prime(c, small) == (k == 1)
 
 
@@ -172,9 +214,9 @@ def test_maximality():
 
 def test_smallest_nonzero_not_maximal_at_k5():
     c = ctx(5)
-    small = Ideal(c, members(0, "m"))
+    small = Ideal(c, mask(c, 0, "m"))
     assert not is_maximal(c, small)
-    between = Ideal(c, members(0, 5, "m"))
+    between = Ideal(c, mask(c, 0, 5, "m"))
     assert small.issubset(between) and between.is_proper
 
 
@@ -188,7 +230,7 @@ def test_austere_only_trivial_subtractive():
 def test_subtractivity_failure_witness():
     # 2 + 3 = m lies in {0, m} but 3 does not
     c = ctx(4)
-    small = Ideal(c, members(0, "m"))
+    small = Ideal(c, mask(c, 0, "m"))
     assert c.add(fin(2), fin(3)) == MANY
     assert not is_subtractive(c, small)
 
@@ -323,12 +365,12 @@ def test_localization_class_lookup_validates():
 
 def test_ideal_sum_and_product_basics():
     c = ctx(2)
-    small = Ideal(c, members(0, "m"))
-    principal2 = Ideal(c, members(0, 2, "m"))
+    small = Ideal(c, mask(c, 0, "m"))
+    principal2 = Ideal(c, mask(c, 0, 2, "m"))
     assert ideal_product(small, principal2).members == members(0, "m")
     assert ideal_sum(small, principal2).members == members(0, 2, "m")
     with pytest.raises(ValueError):
-        ideal_sum(small, Ideal(ctx(3), members(0, "m")))
+        ideal_sum(small, Ideal(ctx(3), mask(ctx(3), 0, "m")))
 
 
 def test_ideal_semiring_properties():
@@ -393,3 +435,139 @@ def test_property_generated_ideals_absorb(k, data):
     for s in pool:
         for a in ideal.members:
             assert c.mul(s, a) in ideal.members
+
+
+# --- scalar oracles -----------------------------------------------------------
+# Reference versions of the ideal layer, written from the definitions on
+# plain Elem values with ctx.add and ctx.mul; the library computes on code
+# masks through the Cayley tables.
+
+
+def elem_mask(c, elems):
+    return sum(1 << c.encode(e) for e in elems)
+
+
+def ref_close(c, seed):
+    """Least set containing zero and the seed, closed under sums and absorbing."""
+    out = {ZERO, *seed}
+    while True:
+        grown = (
+            out
+            | {c.add(a, b) for a in out for b in out}
+            | {c.mul(s, a) for s in c.elements() for a in out}
+        )
+        if grown == out:
+            return frozenset(out)
+        out = grown
+
+
+def ref_prime(c, inside):
+    outside = [e for e in c.elements() if e not in inside]
+    return bool(outside) and not any(c.mul(a, b) in inside for a in outside for b in outside)
+
+
+def ref_subtractive(c, inside):
+    return all(b in inside for a in inside for b in c.elements() if c.add(a, b) in inside)
+
+
+def ref_radical(c, inside):
+    # the powers of a repeat within c.size steps, so these are all of them
+    return frozenset(
+        a for a in c.elements() if any(c.power(a, n) in inside for n in range(1, c.size + 1))
+    )
+
+
+def ref_maximal(c, inside, lattice):
+    whole = frozenset(c.elements())
+    return inside != whole and not any(inside < j.members < whole for j in lattice)
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_ideal_layer_matches_scalar_oracles(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    lattice = enumerate_ideals(c)
+    ideal_masks = brute_force_ideals(c)
+    for a in c.elements():
+        assert ideal_generated(c, [a]).members == ref_close(c, [a])
+    for i in lattice:
+        inside = i.members
+        assert is_prime(c, i) == ref_prime(c, inside)
+        assert is_subtractive(c, i) == ref_subtractive(c, inside)
+        want = ref_radical(c, inside)
+        if elem_mask(c, want) in ideal_masks:
+            assert radical(c, i).members == want
+        else:
+            with pytest.raises(ValueError):
+                radical(c, i)
+        for j in lattice:
+            assert ideal_sum(i, j).members == ref_close(c, inside | j.members)
+            products = {c.mul(x, y) for x in inside for y in j.members}
+            assert ideal_product(i, j).members == ref_close(c, products)
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", range(1, 11))
+def test_maximality_matches_enumeration(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    lattice = enumerate_ideals(c)
+    for ideal in lattice:
+        assert is_maximal(c, ideal) == ref_maximal(c, ideal.members, lattice)
+
+
+def ref_fractions(c, units):
+    """Classes of the fraction relation, and the class tables; the tables
+    are None when an operation depends on the representatives."""
+
+    def related(p, q):
+        (a, u), (b, v) = p, q
+        left, right = c.mul(a, v), c.mul(b, u)
+        return any(c.mul(t, left) == c.mul(t, right) for t in units)
+
+    classes = []
+    for p in [(a, u) for a in c.elements() for u in units]:
+        linked = [cl for cl in classes if any(related(p, q) for q in cl)]
+        classes = [cl for cl in classes if cl not in linked] + [frozenset({p}).union(*linked)]
+    owner = {p: cl for cl in classes for p in cl}
+
+    def add(p, q):
+        (a, u), (b, v) = p, q
+        return (c.add(c.mul(a, v), c.mul(b, u)), c.mul(u, v))
+
+    def mul(p, q):
+        (a, u), (b, v) = p, q
+        return (c.mul(a, b), c.mul(u, v))
+
+    tables = []
+    for op in (add, mul):
+        table = {}
+        for x in classes:
+            for y in classes:
+                results = {owner[op(p, q)] for p in x for q in y}
+                if len(results) != 1:
+                    return set(classes), None
+                table[x, y] = results.pop()
+        tables.append(table)
+    return set(classes), tables
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+def test_localization_matches_scalar_oracle(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    for subset in multiplicative_subsets(c):
+        classes, tables = ref_fractions(c, subset)
+        if tables is None:
+            with pytest.raises(RuntimeError):
+                localize(c, subset)
+            continue
+        loc = localize(c, subset)
+        index = {frozenset(loc.class_members(i)): i for i in range(loc.class_count)}
+        assert set(index) == classes
+        for (x, y), z in tables[0].items():
+            assert loc.add_class(index[x], index[y]) == index[z]
+        for (x, y), z in tables[1].items():
+            assert loc.mul_class(index[x], index[y]) == index[z]
+        for a in c.elements():
+            for u in subset:
+                assert (a, u) in loc.class_members(loc.class_of(a, u))
