@@ -221,13 +221,14 @@ def _check_spectrum(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _multiplicative_subsets(ctx: SemiringCtx):
-    pool = ctx.nonzero_elements()
-    rest = [e for e in pool if e != ctx.one]
+    mul = ctx.table_rows()[1]
+    elems = ctx.elements()
+    rest = range(2, ctx.size)  # codes of the nonzero elements other than 1
     for bits in range(1 << len(rest)):
-        subset = [ctx.one] + [rest[i] for i in range(len(rest)) if bits >> i & 1]
-        closed = all(ctx.mul(u, v) in subset for u in subset for v in subset)
-        if closed:
-            yield subset
+        codes = [1] + [c for i, c in enumerate(rest) if bits >> i & 1]
+        mask = sum(1 << c for c in codes)
+        if all(mask >> mul[u][v] & 1 for u in codes for v in codes):
+            yield [elems[c] for c in codes]
 
 
 def _check_localization(k_max: int, mutant, unsafe: bool) -> Optional[str]:
@@ -310,13 +311,9 @@ def _check_poly_units(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 def _check_poly_idempotents(k_max: int, mutant, unsafe: bool) -> Optional[str]:
     for k in range(1, min(k_max, _SWEEP_POLY_K) + 1):
         ctx = _ctx(k, mutant)
-        allowed = {
-            series.Poly.zero(ctx).coeffs,
-            series.Poly.one(ctx).coeffs,
-            series.Poly.constant(ctx, MANY).coeffs,
-        }
+        allowed = {series.Poly.zero(ctx), series.Poly.one(ctx), series.Poly.constant(ctx, MANY)}
         for f in _poly_pool(ctx):
-            if f.is_idempotent() != (f.coeffs in allowed):
+            if f.is_idempotent() != (f in allowed):
                 return f"k={k}: idempotency of {f.render()} is wrong"
     return None
 
@@ -342,9 +339,8 @@ def _check_window_idempotency(k_max: int, mutant, unsafe: bool) -> Optional[str]
     depth = _SWEEP_WINDOW_DEPTH
     for k in range(1, min(k_max, _SWEEP_WINDOW_K) + 1):
         ctx = _ctx(k, mutant)
-        elems = ctx.elements()
-        for cs in product(elems, repeat=depth + 1):
-            f = series.TruncSeries(ctx, depth, cs)
+        for codes in product(range(ctx.size), repeat=depth + 1):
+            f = series.TruncSeries(ctx, depth, codes)
             if f.squares_to_self() != f.has_idempotent_shape():
                 return f"k={k}: idempotency tests disagree on {f.render()}"
         built = series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth)

@@ -100,12 +100,12 @@ def _emit(payload: dict, claims: list, as_json: bool, status: Optional[str] = No
     return EXIT_OK if status == "ok" else EXIT_VIOLATED
 
 
-def _render_table_text(ctx: SemiringCtx, table) -> list:
+def _render_table_text(ctx: SemiringCtx, rows) -> list:
     labels = [e.render() for e in ctx.elements()]
     width = max(len(s) for s in labels)
     lines = ["  " + " " * width + "  " + "  ".join(s.rjust(width) for s in labels)]
-    for i, row_label in enumerate(labels):
-        cells = "  ".join(ctx.decode(int(table[i, j])).render().rjust(width) for j in range(ctx.size))
+    for row_label, row in zip(labels, rows):
+        cells = "  ".join(labels[c].rjust(width) for c in row)
         lines.append(f"  {row_label.rjust(width)}  {cells}")
     return lines
 
@@ -137,32 +137,27 @@ def _cmd_elem(args) -> int:
 
 def _cmd_table(args) -> int:
     ctx = SemiringCtx(args.k)
-    add_t, mul_t = ctx.tables()
+    add, mul = ctx.table_rows()
     if args.k > TABLE_RENDER_BOUND:
         print(
             f"warning: k={args.k} exceeds {TABLE_RENDER_BOUND}; table output will be large",
             file=sys.stderr,
         )
     if args.json:
+        elems = [e.to_json() for e in ctx.elements()]
         payload = {
             "k": args.k,
-            "elements": [e.to_json() for e in ctx.elements()],
-            "add": [
-                [ctx.decode(int(add_t[i, j])).to_json() for j in range(ctx.size)]
-                for i in range(ctx.size)
-            ],
-            "mul": [
-                [ctx.decode(int(mul_t[i, j])).to_json() for j in range(ctx.size)]
-                for i in range(ctx.size)
-            ],
+            "elements": elems,
+            "add": [[elems[c] for c in row] for row in add],
+            "mul": [[elems[c] for c in row] for row in mul],
         }
         return _emit(payload, [], True)
     _out("status: ok")
     _out(f"k: {args.k}")
     _out("addition:")
-    _out("\n".join(_render_table_text(ctx, add_t)))
+    _out("\n".join(_render_table_text(ctx, add)))
     _out("multiplication:")
-    _out("\n".join(_render_table_text(ctx, mul_t)))
+    _out("\n".join(_render_table_text(ctx, mul)))
     return EXIT_OK
 
 

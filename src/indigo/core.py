@@ -184,6 +184,7 @@ class SemiringCtx:
         self.mutant = mutant
         self._elements: Optional[tuple] = None
         self._tables = None
+        self._table_rows = None
 
     def __eq__(self, other):
         return isinstance(other, SemiringCtx) and (self.k, self.mutant) == (other.k, other.mutant)
@@ -333,6 +334,12 @@ class SemiringCtx:
             mul_t.setflags(write=False)
             self._tables = (add_t, mul_t)
         return self._tables
+
+    def table_rows(self):
+        """``tables()`` as tuples of int rows for scalar lookups, built once."""
+        if self._table_rows is None:
+            self._table_rows = tuple(tuple(map(tuple, t.tolist())) for t in self.tables())
+        return self._table_rows
 
 
 LAW_NAMES = (

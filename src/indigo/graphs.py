@@ -2,8 +2,10 @@
 
 The Indigenous graph of order k lives on the nonzero elements
 {1, ..., k, m}; two distinct vertices are joined exactly when their
-product saturates to m.  Adjacency is read off ``SemiringCtx.mul`` so
-any arithmetic change (including an injected mutant) propagates here.
+product saturates to m.  Vertex i is the element with code i + 1, and
+adjacency is read off the multiplication table of ``ctx.tables()``, so
+any arithmetic change (including an injected mutant) propagates here;
+elements appear only in vertex queries, edge lists and JSON views.
 
 The four invariants (diameter, girth, clique number, chromatic number)
 are computed exactly.  Vertex counts stay small (k + 1), so plain
@@ -17,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import MANY, Elem, SemiringCtx, check_bound
+from .core import Elem, SemiringCtx, check_bound
 
 EXACT_SEARCH_BOUND = 24
 
@@ -31,10 +33,12 @@ class IndigenousGraph:
         self.ctx = ctx
         self.vertices = ctx.nonzero_elements()
         n = len(self.vertices)
+        mul = ctx.table_rows()[1]
+        many = ctx.size - 1
         adj = [0] * n
         for i in range(n):
             for j in range(i + 1, n):
-                if ctx.mul(self.vertices[i], self.vertices[j]) == MANY:
+                if mul[i + 1][j + 1] == many:
                     adj[i] |= 1 << j
                     adj[j] |= 1 << i
         self._adj = adj

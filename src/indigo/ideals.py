@@ -61,14 +61,13 @@ class _Closure:
     """
 
     def __init__(self, ctx: SemiringCtx):
-        add_t, mul_t = ctx.tables()
+        add, mul = ctx.table_rows()
         # bits of a + b and b + a, of x * y, and of every s * a
         self._sum_bits = [
-            [1 << c | 1 << d for c, d in zip(row, col)]
-            for row, col in zip(add_t.tolist(), add_t.T.tolist())
+            [1 << c | 1 << d for c, d in zip(row, col)] for row, col in zip(add, zip(*add))
         ]
-        self._mul_bits = [[1 << c for c in row] for row in mul_t.tolist()]
-        self._absorb = [sum(1 << c for c in set(col)) for col in mul_t.T.tolist()]
+        self._mul_bits = [[1 << c for c in row] for row in mul]
+        self._absorb = [sum(1 << c for c in set(col)) for col in zip(*mul)]
 
     def __call__(self, mask: int) -> int:
         """Least ideal containing the codes in ``mask``."""
@@ -223,7 +222,7 @@ def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
 
 def radical(ctx: SemiringCtx, ideal: Ideal) -> Ideal:
     """Elements some power of which lands in the ideal."""
-    mul = ctx.tables()[1].tolist()
+    mul = ctx.table_rows()[1]
     mask = 0
     for a in range(ctx.size):
         p, seen = a, set()

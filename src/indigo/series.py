@@ -1,6 +1,10 @@
 """Polynomials and truncated power series over Indigenous semirings.
 
-Polynomials are dense coefficient tuples trimmed to canonical form; the
+Polynomials are dense tuples of element codes trimmed to canonical
+form, and every product (polynomial, window or oracle candidate) is one
+convolution over the Cayley tables of ``ctx.tables()``.  Elements appear
+only at the boundary: the ``coeffs`` view, rendering, JSON, and the
+builders such as ``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
 for max and absorbing for +, so degree is a morphism from multiplication
 and addition of polynomials into (max, +) arithmetic.
@@ -23,7 +27,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
 from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound, fin
@@ -35,18 +39,36 @@ NEG_INFINITY = float("-inf")
 Degree = Union[int, float]
 
 
+def _check_codes(ctx: SemiringCtx, codes: tuple) -> None:
+    for c in codes:
+        if type(c) is not int or not 0 <= c < ctx.size:
+            raise ContextMismatchError(f"{c!r} is not an element code of order k={ctx.k}")
+
+
+def _convolve(ctx: SemiringCtx, f: Sequence[int], g: Sequence[int], n: int) -> list:
+    """The first n codes of the product of the code sequences f and g."""
+    add, mul = ctx.table_rows()
+    out = [0] * n
+    for i, a in enumerate(f[:n]):
+        if a:
+            row = mul[a]
+            for j, b in enumerate(g[: n - i], i):
+                if b:
+                    out[j] = add[out[j]][row[b]]
+    return out
+
+
 @dataclass(frozen=True)
 class Poly:
-    """Polynomial in canonical form: no trailing zero coefficients."""
+    """Polynomial in canonical form: element codes with no trailing 0."""
 
     ctx: SemiringCtx
-    coeffs: tuple
+    codes: tuple
 
     def __post_init__(self):
-        if self.coeffs and self.coeffs[-1] == ZERO:
+        if self.codes and self.codes[-1] == 0:
             raise ValueError("trailing zero coefficient; build polynomials with make_poly")
-        for c in self.coeffs:
-            self.ctx.check(c)
+        _check_codes(self.ctx, self.codes)
 
     @classmethod
     def zero(cls, ctx: SemiringCtx) -> "Poly":
@@ -54,7 +76,7 @@ class Poly:
 
     @classmethod
     def one(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (ctx.one,))
+        return cls(ctx, (1,))
 
     @classmethod
     def constant(cls, ctx: SemiringCtx, a: Elem) -> "Poly":
@@ -62,13 +84,15 @@ class Poly:
 
     @classmethod
     def x(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (ZERO, ctx.one))
+        return cls(ctx, (0, 1))
 
-    def coeff(self, i: int) -> Elem:
-        return self.coeffs[i] if 0 <= i < len(self.coeffs) else ZERO
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as elements, lowest degree first."""
+        return tuple(self.ctx.elements()[c] for c in self.codes)
 
     def degree(self) -> Degree:
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INFINITY
+        return len(self.codes) - 1 if self.codes else NEG_INFINITY
 
     def _check_compat(self, other: "Poly"):
         if not isinstance(other, Poly):
@@ -78,35 +102,25 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [self.ctx.add(self.coeff(i), other.coeff(i)) for i in range(n)]
-        return make_poly(self.ctx, out)
+        add = self.ctx.table_rows()[0]
+        sums = [add[a][b] for a, b in zip_longest(self.codes, other.codes, fillvalue=0)]
+        return _trimmed(self.ctx, sums)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
-        if not self.coeffs or not other.coeffs:
-            return Poly.zero(self.ctx)
-        ctx = self.ctx
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == ZERO:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if b == ZERO:
-                    continue
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return make_poly(ctx, out)
+        f, g = self.codes, other.codes
+        return _trimmed(self.ctx, _convolve(self.ctx, f, g, len(f) + len(g) - 1))
 
     def is_unit(self) -> bool:
         """True exactly for the constant polynomial 1."""
-        return self.coeffs == (self.ctx.one,)
+        return self.codes == (1,)
 
     def is_idempotent(self) -> bool:
         """True when f * f = f (holds exactly for the constants 0, 1 and m)."""
         return self * self == self
 
     def render(self) -> str:
-        if not self.coeffs:
+        if not self.codes:
             return "0"
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -129,12 +143,15 @@ class Poly:
         return f"<Poly {self.render()} over k={self.ctx.k}>"
 
 
+def _trimmed(ctx: SemiringCtx, codes: list) -> Poly:
+    while codes and codes[-1] == 0:
+        codes.pop()
+    return Poly(ctx, tuple(codes))
+
+
 def make_poly(ctx: SemiringCtx, coeffs: Iterable[Elem]) -> Poly:
     """Build a polynomial, trimming trailing zero coefficients."""
-    cs = list(coeffs)
-    while cs and cs[-1] == ZERO:
-        cs.pop()
-    return Poly(ctx, tuple(cs))
+    return _trimmed(ctx, [ctx.encode(c) for c in coeffs])
 
 
 _TERM_RE = re.compile(r"^(m|\d+)?(X(\^(\d+))?)?$")
@@ -145,7 +162,8 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
     body = text.strip()
     if not body:
         raise ValueError("empty polynomial text")
-    coeffs: dict = {}
+    add = ctx.table_rows()[0]
+    codes: dict = {}
     for raw in body.split("+"):
         term = raw.replace(" ", "").replace("x", "X")
         match = _TERM_RE.match(term)
@@ -154,10 +172,8 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
         coef_tok, has_x, _, power_tok = match.groups()
         coef = Elem.parse(coef_tok) if coef_tok is not None else fin(1)
         degree = 0 if has_x is None else (1 if power_tok is None else int(power_tok))
-        prev = coeffs.get(degree, ZERO)
-        coeffs[degree] = ctx.add(prev, coef)
-    top = max(coeffs) if coeffs else 0
-    return make_poly(ctx, [coeffs.get(i, ZERO) for i in range(top + 1)])
+        codes[degree] = add[codes.get(degree, 0)][ctx.encode(coef)]
+    return _trimmed(ctx, [codes.get(i, 0) for i in range(max(codes) + 1)])
 
 
 def poly_from_json(ctx: SemiringCtx, data: Sequence) -> Poly:
@@ -166,22 +182,26 @@ def poly_from_json(ctx: SemiringCtx, data: Sequence) -> Poly:
 
 @dataclass(frozen=True)
 class TruncSeries:
-    """A power series window: coefficients 0..depth, no trimming."""
+    """A power series window: element codes for degrees 0..depth, no trimming."""
 
     ctx: SemiringCtx
     depth: int
-    coeffs: tuple
+    codes: tuple
 
     def __post_init__(self):
         if not isinstance(self.depth, int) or self.depth < 0:
             raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
-        if len(self.coeffs) != self.depth + 1:
+        if len(self.codes) != self.depth + 1:
             raise ValueError(
                 f"window of depth {self.depth} needs {self.depth + 1} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"got {len(self.codes)}"
             )
-        for c in self.coeffs:
-            self.ctx.check(c)
+        _check_codes(self.ctx, self.codes)
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as elements, lowest degree first."""
+        return tuple(self.ctx.elements()[c] for c in self.codes)
 
     def _check_compat(self, other: "TruncSeries"):
         if not isinstance(other, TruncSeries):
@@ -193,34 +213,23 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
-        ctx = self.ctx
-        out = tuple(ctx.add(a, b) for a, b in zip(self.coeffs, other.coeffs))
-        return TruncSeries(ctx, self.depth, out)
+        add = self.ctx.table_rows()[0]
+        sums = tuple(add[a][b] for a, b in zip(self.codes, other.codes))
+        return TruncSeries(self.ctx, self.depth, sums)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":
         """Product truncated to the window."""
         self._check_compat(other)
-        ctx = self.ctx
-        out = [ZERO] * (self.depth + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == ZERO:
-                continue
-            for j in range(self.depth + 1 - i):
-                b = other.coeffs[j]
-                if b == ZERO:
-                    continue
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
-        return TruncSeries(ctx, self.depth, tuple(out))
+        out = _convolve(self.ctx, self.codes, other.codes, self.depth + 1)
+        return TruncSeries(self.ctx, self.depth, tuple(out))
 
     def is_unit(self) -> bool:
         """True exactly for the constant-1 window."""
-        if self.coeffs[0] != self.ctx.one:
-            return False
-        return all(c == ZERO for c in self.coeffs[1:])
+        return self.codes[0] == 1 and not any(self.codes[1:])
 
     def support(self) -> tuple:
         """Degrees >= 1 carrying a nonzero coefficient."""
-        return tuple(i for i in range(1, self.depth + 1) if self.coeffs[i] != ZERO)
+        return tuple(i for i in range(1, self.depth + 1) if self.codes[i])
 
     def squares_to_self(self) -> bool:
         return self * self == self
@@ -228,14 +237,14 @@ class TruncSeries:
     def has_idempotent_shape(self) -> bool:
         """Structural test: all zero, or constant term in {1, m}, higher
         nonzero coefficients all m, support additively closed in-window."""
-        if all(c == ZERO for c in self.coeffs):
+        if not any(self.codes):
             return True
-        if self.coeffs[0] not in (self.ctx.one, MANY):
+        many = self.ctx.size - 1
+        if self.codes[0] not in (1, many):
             return False
         sup = self.support()
-        for i in sup:
-            if self.coeffs[i] != MANY:
-                return False
+        if any(self.codes[i] != many for i in sup):
+            return False
         sup_set = set(sup)
         for s in sup:
             for t in sup:
@@ -245,7 +254,7 @@ class TruncSeries:
         return True
 
     def render(self) -> str:
-        text = make_poly(self.ctx, self.coeffs).render()
+        text = _trimmed(self.ctx, list(self.codes)).render()
         return f"{text} (window depth {self.depth})"
 
     def to_json(self) -> dict:
@@ -260,8 +269,8 @@ def make_series(ctx: SemiringCtx, depth: int, coeffs: Iterable[Elem]) -> TruncSe
     cs = list(coeffs)
     if len(cs) > depth + 1:
         raise ValueError(f"{len(cs)} coefficients do not fit a window of depth {depth}")
-    cs.extend([ZERO] * (depth + 1 - len(cs)))
-    return TruncSeries(ctx, depth, tuple(cs))
+    codes = [ctx.encode(c) for c in cs] + [0] * (depth + 1 - len(cs))
+    return TruncSeries(ctx, depth, tuple(codes))
 
 
 def series_from_json(ctx: SemiringCtx, data: dict) -> TruncSeries:
@@ -292,8 +301,9 @@ def idempotent_series_from_generators(
 
     The constant term must be 1 or m; generators are positive exponents.
     """
-    constant = ctx.check(constant)
-    if constant not in (ctx.one, MANY):
+    constant = ctx.encode(constant)
+    many = ctx.size - 1
+    if constant not in (1, many):
         raise ValueError("constant term of an idempotent window must be 1 or m")
     gen_list = sorted(set(gens))
     if not gen_list:
@@ -307,8 +317,8 @@ def idempotent_series_from_generators(
     reach[0] = True
     for i in range(1, depth + 1):
         reach[i] = any(g <= i and reach[i - g] for g in gen_list)
-    coeffs = [constant] + [MANY if reach[i] else ZERO for i in range(1, depth + 1)]
-    return TruncSeries(ctx, depth, tuple(coeffs))
+    codes = [constant] + [many if reach[i] else 0 for i in range(1, depth + 1)]
+    return TruncSeries(ctx, depth, tuple(codes))
 
 
 def quadratic(ctx: SemiringCtx, alpha: Elem, beta: Elem) -> Poly:
@@ -336,15 +346,6 @@ def quadratic_irreducible(ctx: SemiringCtx, alpha: Elem, beta: Elem) -> bool:
     return False
 
 
-def _codes_is_unit(mul_t, g: tuple) -> bool:
-    # a unit factor must be a constant with a constant inverse: degree is
-    # additive, so nothing of positive degree can divide 1
-    if len(g) != 1:
-        return False
-    n = mul_t.shape[0]
-    return any(int(mul_t[g[0], c]) == 1 for c in range(n))
-
-
 def factorization_oracle(f: Poly, max_k: Optional[int] = ORACLE_BOUND) -> Optional[tuple]:
     """Search every factorization of f into two nonunit factors.
 
@@ -360,23 +361,19 @@ def factorization_oracle(f: Poly, max_k: Optional[int] = ORACLE_BOUND) -> Option
         raise ValueError("the zero polynomial is outside the oracle's scope")
     if deg > 2:
         raise ValueError(f"oracle covers degree <= 2, got degree {deg}")
-    add_t, mul_t = ctx.tables()
-    target = tuple(ctx.encode(c) for c in f.coeffs)
+    target = list(f.codes)
     n = ctx.size
+    # a unit factor must be a constant with a constant inverse: degree is
+    # additive, so nothing of positive degree can divide 1
+    units = {(a,) for a, row in enumerate(ctx.table_rows()[1]) if 1 in row}
     for d1 in range(0, deg // 2 + 1):
         d2 = deg - d1
         for g in product(range(n), repeat=d1 + 1):
-            if g[-1] == 0 or _codes_is_unit(mul_t, g):
+            if g[-1] == 0 or g in units:
                 continue
             for h in product(range(n), repeat=d2 + 1):
-                if h[-1] == 0 or _codes_is_unit(mul_t, h):
+                if h[-1] == 0 or h in units:
                     continue
-                out = [0] * (deg + 1)
-                for i, gi in enumerate(g):
-                    for j, hj in enumerate(h):
-                        out[i + j] = int(add_t[out[i + j], mul_t[gi, hj]])
-                if tuple(out) == target:
-                    left = make_poly(ctx, [ctx.decode(c) for c in g])
-                    right = make_poly(ctx, [ctx.decode(c) for c in h])
-                    return (left, right)
+                if _convolve(ctx, g, h, deg + 1) == target:
+                    return (Poly(ctx, g), Poly(ctx, h))
     return None

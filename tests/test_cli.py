@@ -282,6 +282,14 @@ def test_poly_parse_error(capsys):
     assert "error:" in err
 
 
+def test_out_of_range_coefficient_is_a_usage_error(capsys):
+    for argv in (("poly", "3", "--mul", "5", "1"), ("poly", "3", "--mul", "5", "1", "--json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (EXIT_USAGE, "", "error: element 5 exceeds order k=3\n")
+    code, out, err = run_cli(capsys, "series", "2", "--depth", "3", "--check", "5X")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: element 5 exceeds order k=2\n")
+
+
 def test_series_from_generators(capsys):
     code, report, _ = run_json(
         capsys, "series", "3", "--depth", "10", "--gens", "3,5", "--constant", "1"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indigo import checks
 from indigo.core import (
     LAW_CHECK_BOUND,
     MANY,
@@ -147,6 +148,52 @@ def test_tables_match_scalar_ops():
             assert c.decode(int(add_t[i, j])) == c.add(a, b)
             assert c.decode(int(mul_t[i, j])) == c.mul(a, b)
     assert not add_t.flags.writeable
+
+
+def test_table_rows_match_scalar_ops():
+    for mutant in (None, "add-cap", "mul-cap"):
+        c = ctx(5, mutant)
+        add, mul = c.table_rows()
+        assert c.table_rows() is c.table_rows()
+        for i, a in enumerate(c.elements()):
+            for j, b in enumerate(c.elements()):
+                assert type(add[i][j]) is int and type(mul[i][j]) is int
+                assert add[i][j] == c.encode(c.add(a, b))
+                assert mul[i][j] == c.encode(c.mul(a, b))
+
+
+def test_sweep_computes_only_through_the_tables(monkeypatch):
+    """Outside ``SemiringCtx.tables``, nothing in the sweep calls the scalar
+    ``add`` or ``mul``: the Cayley tables are its only arithmetic."""
+    contexts = (None, "add-cap", "mul-cap")
+    expected = {m: checks.run_all_checks(8, mutant=m) for m in contexts}
+    building = []
+    tables = SemiringCtx.tables
+
+    def guarded_tables(self):
+        building.append(self)
+        try:
+            return tables(self)
+        finally:
+            building.pop()
+
+    def guard(op):
+        def guarded(self, a, b):
+            if not building:
+                raise AssertionError(f"SemiringCtx.{op.__name__} called outside the table build")
+            return op(self, a, b)
+
+        return guarded
+
+    monkeypatch.setattr(SemiringCtx, "tables", guarded_tables)
+    monkeypatch.setattr(SemiringCtx, "add", guard(SemiringCtx.add))
+    monkeypatch.setattr(SemiringCtx, "mul", guard(SemiringCtx.mul))
+    with pytest.raises(AssertionError):
+        ctx(3).add(fin(1), fin(1))
+    with pytest.raises(AssertionError):
+        ctx(3).mul(fin(1), fin(1))
+    for mutant in contexts:
+        assert checks.run_all_checks(8, mutant=mutant) == expected[mutant]
 
 
 def test_all_laws_hold_sample():

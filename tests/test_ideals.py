@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from indigo import checks
 from indigo.core import MANY, ZERO, BoundExceededError, SemiringCtx, fin
 from indigo.ideals import (
     IDEAL_ENUM_BOUND,
@@ -285,6 +286,13 @@ def multiplicative_subsets(c):
         subset = [c.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
         if all(c.mul(u, v) in subset for u in subset for v in subset):
             yield subset
+
+
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_sweep_unit_sets_match_scalar_reference(mutant):
+    for k in range(1, 9):
+        c = SemiringCtx(k, mutant=mutant)
+        assert list(checks._multiplicative_subsets(c)) == list(multiplicative_subsets(c))
 
 
 def test_localize_validates_unit_set():

@@ -43,8 +43,137 @@ def all_polys(ctx, max_deg):
 
 
 def all_windows(ctx, depth):
-    for coeffs in itertools.product(ctx.elements(), repeat=depth + 1):
-        yield TruncSeries(ctx, depth, coeffs)
+    for codes in itertools.product(range(ctx.size), repeat=depth + 1):
+        yield TruncSeries(ctx, depth, codes)
+
+
+CONTEXTS = [(k, mutant) for k in range(1, 5) for mutant in (None, "add-cap", "mul-cap")]
+
+
+# --- scalar reference arithmetic ---------------------------------------------
+# Plain-Elem sums and products of coefficient tuples through ctx.add and
+# ctx.mul, independent of the Cayley tables and the shared convolution.
+
+
+def ref_sum(ctx, f, g):
+    n = max(len(f), len(g))
+    f = tuple(f) + (ZERO,) * (n - len(f))
+    g = tuple(g) + (ZERO,) * (n - len(g))
+    return tuple(ctx.add(a, b) for a, b in zip(f, g))
+
+
+def ref_product(ctx, f, g, n):
+    """The first n coefficients of the product of f and g."""
+    out = [ZERO] * n
+    for i, a in enumerate(f):
+        for j, b in enumerate(g):
+            if i + j < n:
+                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+    return tuple(out)
+
+
+def ref_poly_product(ctx, f, g):
+    return trim(ref_product(ctx, f, g, max(len(f) + len(g) - 1, 0)))
+
+
+def trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == ZERO:
+        coeffs.pop()
+    return tuple(coeffs)
+
+
+@pytest.mark.parametrize("k,mutant", CONTEXTS)
+def test_poly_arithmetic_matches_scalar_reference(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    pool = [(f, f.coeffs) for f in all_polys(c, 2)]
+    for f, fc in pool:
+        for g, gc in pool:
+            assert (f + g).coeffs == trim(ref_sum(c, fc, gc))
+            assert (f * g).coeffs == ref_poly_product(c, fc, gc)
+
+
+@pytest.mark.parametrize("k,mutant", CONTEXTS)
+def test_window_arithmetic_matches_scalar_reference(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    for depth in range(3):
+        pool = [(f, f.coeffs) for f in all_windows(c, depth)]
+        for f, fc in pool:
+            for g, gc in pool:
+                assert (f + g).coeffs == ref_sum(c, fc, gc)
+                assert (f * g).coeffs == ref_product(c, fc, gc, depth + 1)
+
+
+@pytest.mark.parametrize("k,mutant", CONTEXTS)
+def test_oracle_witnesses_hold_under_scalar_reference(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    one = (c.one,)
+    constants = [(a,) for a in c.elements()]
+
+    def has_inverse(g):
+        # entire arithmetic makes degree additive, so inverses are constants
+        return any(ref_poly_product(c, g, a) == one for a in constants)
+
+    witnesses = 0
+    for f in all_polys(c, 2):
+        if f == Poly.zero(c):
+            continue
+        witness = factorization_oracle(f)
+        if witness is None:
+            continue
+        witnesses += 1
+        g, h = witness
+        assert ref_poly_product(c, g.coeffs, h.coeffs) == f.coeffs
+        assert not has_inverse(g.coeffs) and not has_inverse(h.coeffs)
+    assert witnesses > 0
+
+
+# --- constructors ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("bad", [-1, 5, 6, fin(1), ZERO, 1.0, "1", True, None])
+def test_constructors_reject_non_codes(bad):
+    c = SemiringCtx(3)
+    for build in (
+        lambda: Poly(c, (bad,)),
+        lambda: Poly(c, (bad, 1)),
+        lambda: TruncSeries(c, 0, (bad,)),
+        lambda: TruncSeries(c, 1, (1, bad)),
+    ):
+        with pytest.raises(ContextMismatchError):
+            build()
+
+
+def test_constructors_accept_codes_and_keep_shape_errors():
+    c = SemiringCtx(3)
+    for code in range(1, c.size):
+        assert Poly(c, (0, code)).coeffs == (ZERO, c.decode(code))
+    for code in range(c.size):
+        assert TruncSeries(c, 0, (code,)).coeffs == (c.decode(code),)
+    bad_shapes = (
+        lambda: Poly(c, (1, 0)),
+        lambda: Poly(c, (0,)),
+        lambda: TruncSeries(c, 2, (1,)),
+        lambda: TruncSeries(c, 0, ()),
+        lambda: TruncSeries(c, -1, ()),
+    )
+    for build in bad_shapes:
+        with pytest.raises(ValueError) as info:
+            build()
+        assert info.type is ValueError
+
+
+def test_builders_encode_elements_once():
+    c = SemiringCtx(3)
+    assert make_poly(c, (fin(2), ZERO, MANY, ZERO)).codes == (2, 0, 4)
+    assert make_series(c, 3, (ZERO, MANY)).codes == (0, 4, 0, 0)
+    assert parse_poly(c, "2 + mX^2").codes == (2, 0, 4)
+    assert quadratic(c, fin(2), fin(3)).codes == (3, 0, 2)
+    assert idempotent_series_from_generators(c, MANY, [2], 4).codes == (4, 0, 4, 0, 4)
+    with pytest.raises(ContextMismatchError, match="element 5 exceeds order k=3"):
+        make_poly(c, (fin(5),))
+    with pytest.raises(ContextMismatchError, match="element 5 exceeds order k=3"):
+        parse_poly(c, "5")
 
 
 # --- worked examples ---------------------------------------------------------
