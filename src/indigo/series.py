@@ -46,7 +46,8 @@ def _check_codes(ctx: SemiringCtx, codes: tuple) -> None:
 
 
 def _convolve(ctx: SemiringCtx, f: Sequence[int], g: Sequence[int], n: int) -> list:
-    """The first n codes of the product of the code sequences f and g."""
+    """The first n codes of the product of the code sequences f and g;
+    zero terms are skipped, as 0 is neutral for + and absorbing for *."""
     add, mul = ctx.table_rows()
     out = [0] * n
     for i, a in enumerate(f[:n]):
