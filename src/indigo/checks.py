@@ -223,9 +223,10 @@ def _check_spectrum(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 def _multiplicative_subsets(ctx: SemiringCtx):
     mul = ctx.table_rows()[1]
     elems = ctx.elements()
-    rest = range(2, ctx.size)  # codes of the nonzero elements other than 1
+    one = ctx.encode(ctx.one)
+    rest = [ctx.encode(e) for e in ctx.nonzero_elements() if e != ctx.one]
     for bits in range(1 << len(rest)):
-        codes = [1] + [c for i, c in enumerate(rest) if bits >> i & 1]
+        codes = [one] + [c for i, c in enumerate(rest) if bits >> i & 1]
         mask = sum(1 << c for c in codes)
         if all(mask >> mul[u][v] & 1 for u in codes for v in codes):
             yield [elems[c] for c in codes]

@@ -137,7 +137,7 @@ def _cmd_elem(args) -> int:
 
 def _cmd_table(args) -> int:
     ctx = SemiringCtx(args.k)
-    add, mul = ctx.table_rows()
+    add, mul = (t.tolist() for t in ctx.tables())
     if args.k > TABLE_RENDER_BOUND:
         print(
             f"warning: k={args.k} exceeds {TABLE_RENDER_BOUND}; table output will be large",

@@ -9,8 +9,9 @@ operations.  The structure is an information algebra: it has no zero
 divisors (entire) and no nonzero elements summing to zero (zerosumfree).
 
 ``SemiringCtx`` fixes the order k and owns all element arithmetic, the
-dense Cayley tables consumed by the scan kernels, and the canonical
-quotient map from the natural numbers.  ``verify_laws`` checks every
+Cayley tables over element codes (dense for the scan kernels, row by
+row for scalar lookups), and the canonical quotient map from the
+natural numbers.  ``verify_laws`` checks every
 axiom exhaustively for one k and returns one ``LawReport`` per law.
 
 A deliberately wrong saturation rule can be injected through the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -36,6 +38,8 @@ MUTANT_ENV = "INDIGO_MUTANT"
 _MUTANT_NAMES = ("add-cap", "mul-cap")
 
 _KINDS = ("zero", "fin", "many")
+
+_OPS = ("add", "mul")
 
 
 class ContextMismatchError(ValueError):
@@ -136,6 +140,9 @@ def fin(n: int) -> Elem:
     return Elem("fin", n)
 
 
+_ONE = fin(1)
+
+
 @dataclass(frozen=True)
 class LawReport:
     """Outcome of one exhaustive law check.
@@ -207,7 +214,7 @@ class SemiringCtx:
 
     @property
     def one(self) -> Elem:
-        return fin(1)
+        return _ONE
 
     @property
     def many(self) -> Elem:
@@ -315,31 +322,64 @@ class SemiringCtx:
             return MANY
         raise ValueError(f"code {c} out of range for order k={self.k}")
 
+    def _cayley(self, op: str, a, b):
+        """Codes of a + b (``op`` "add") or a * b ("mul") for broadcast code
+        arrays a and b: the rule of ``add``/``mul``, mutant included, on codes."""
+        k, many = self.k, self.k + 1
+        finite = (a > 0) & (a < many) & (b > 0) & (b < many)
+        if op == "add":
+            raw = a + b
+            other = np.where(a == 0, b, np.where(b == 0, a, many))
+        else:
+            raw = a * b
+            other = np.where((a == 0) | (b == 0), 0, many)
+        cap = k if self.mutant == f"{op}-cap" else many
+        return np.where(finite, np.where(raw <= k, raw, cap), other)
+
     def tables(self):
         """Dense Cayley tables (add, mul) over element codes, built once.
 
-        Any injected mutant rule flows into the tables because they are
-        generated from the scalar operations.
+        Any injected mutant rule flows into the tables, which apply the
+        same saturating rule as the scalar operations.
         """
         if self._tables is None:
-            elems = self.elements()
-            n = self.size
-            add_t = np.empty((n, n), dtype=np.int16)
-            mul_t = np.empty((n, n), dtype=np.int16)
-            for i, a in enumerate(elems):
-                for j, b in enumerate(elems):
-                    add_t[i, j] = self.encode(self.add(a, b))
-                    mul_t[i, j] = self.encode(self.mul(a, b))
-            add_t.setflags(write=False)
-            mul_t.setflags(write=False)
-            self._tables = (add_t, mul_t)
+            codes = np.arange(self.size, dtype=np.int64)
+            self._tables = tuple(
+                self._cayley(op, codes[:, None], codes).astype(np.int32) for op in _OPS
+            )
+            for t in self._tables:
+                t.setflags(write=False)
         return self._tables
 
+    def table_row(self, op: str, a: int) -> np.ndarray:
+        """Codes of a + b (``op`` "add") or a * b ("mul") for every code b:
+        row a of that table, in O(k) time without the dense tables."""
+        if op not in _OPS or type(a) is not int or not 0 <= a < self.size:
+            raise ValueError(f"no row {a!r} in the {op!r} table of order k={self.k}")
+        return self._cayley(op, a, np.arange(self.size, dtype=np.int64))
+
     def table_rows(self):
-        """``tables()`` as tuples of int rows for scalar lookups, built once."""
+        """(add, mul) for scalar lookups: ``add[a][b]`` is the code of a + b.
+        Rows are int tuples built on first lookup, so a computation pays
+        O(k) per row it reads, not the (k + 2)**2 cells of ``tables()``."""
         if self._table_rows is None:
-            self._table_rows = tuple(tuple(map(tuple, t.tolist())) for t in self.tables())
+            self._table_rows = tuple(_TableRows(partial(self.table_row, op)) for op in _OPS)
         return self._table_rows
+
+
+class _TableRows(dict):
+    """Table rows keyed by code, each built on first lookup.  Index only:
+    iterate over ``range(ctx.size)`` instead."""
+
+    __iter__ = None
+
+    def __init__(self, row):
+        super().__init__()
+        self._row = row
+
+    def __missing__(self, a: int) -> tuple:
+        row = self[a] = tuple(self._row(a).tolist())
+        return row
 
 
 LAW_NAMES = (

@@ -2,9 +2,9 @@
 
 The Indigenous graph of order k lives on the nonzero elements
 {1, ..., k, m}; two distinct vertices are joined exactly when their
-product saturates to m.  Vertex i is the element with code i + 1, and
-adjacency is read off the multiplication table of ``ctx.tables()``, so
-any arithmetic change (including an injected mutant) propagates here;
+product saturates to m.  Adjacency is read off the rows of the
+multiplication table (``ctx.table_row``), one row per vertex, so any
+arithmetic change (including an injected mutant) propagates here;
 elements appear only in vertex queries, edge lists and JSON views.
 
 The four invariants (diameter, girth, clique number, chromatic number)
@@ -19,7 +19,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Elem, SemiringCtx, check_bound
+import numpy as np
+
+from .core import MANY, Elem, SemiringCtx, check_bound
 
 EXACT_SEARCH_BOUND = 24
 
@@ -32,15 +34,14 @@ class IndigenousGraph:
     def __init__(self, ctx: SemiringCtx):
         self.ctx = ctx
         self.vertices = ctx.nonzero_elements()
-        n = len(self.vertices)
-        mul = ctx.table_rows()[1]
-        many = ctx.size - 1
-        adj = [0] * n
-        for i in range(n):
-            for j in range(i + 1, n):
-                if mul[i + 1][j + 1] == many:
-                    adj[i] |= 1 << j
-                    adj[j] |= 1 << i
+        many = ctx.encode(MANY)
+        codes = np.array([ctx.encode(v) for v in self.vertices])
+        adj = []
+        for i, a in enumerate(codes.tolist()):
+            # the table is commutative, so row i is also column i
+            saturated = ctx.table_row("mul", a)[codes] == many
+            saturated[i] = False
+            adj.append(int.from_bytes(np.packbits(saturated, bitorder="little").tobytes(), "little"))
         self._adj = adj
 
     @property

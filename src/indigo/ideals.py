@@ -61,7 +61,7 @@ class _Closure:
     """
 
     def __init__(self, ctx: SemiringCtx):
-        add, mul = ctx.table_rows()
+        add, mul = ([rows[a] for a in range(ctx.size)] for rows in ctx.table_rows())
         # bits of a + b and b + a, of x * y, and of every s * a
         self._sum_bits = [
             [1 << c | 1 << d for c, d in zip(row, col)] for row, col in zip(add, zip(*add))

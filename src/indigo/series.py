@@ -2,7 +2,8 @@
 
 Polynomials are dense tuples of element codes trimmed to canonical
 form, and every product (polynomial, window or oracle candidate) is one
-convolution over the Cayley tables of ``ctx.tables()``.  Elements appear
+convolution over the Cayley table rows of ``ctx.table_rows()``, so a
+query pays O(k) per row it reads at any order k.  Elements appear
 only at the boundary: the ``coeffs`` view, rendering, JSON, and the
 builders such as ``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
@@ -77,7 +78,7 @@ class Poly:
 
     @classmethod
     def one(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (1,))
+        return cls(ctx, (ctx.encode(ctx.one),))
 
     @classmethod
     def constant(cls, ctx: SemiringCtx, a: Elem) -> "Poly":
@@ -85,7 +86,7 @@ class Poly:
 
     @classmethod
     def x(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (0, 1))
+        return cls(ctx, (0, ctx.encode(ctx.one)))
 
     @property
     def coeffs(self) -> tuple:
@@ -114,7 +115,7 @@ class Poly:
 
     def is_unit(self) -> bool:
         """True exactly for the constant polynomial 1."""
-        return self.codes == (1,)
+        return self.codes == (self.ctx.encode(self.ctx.one),)
 
     def is_idempotent(self) -> bool:
         """True when f * f = f (holds exactly for the constants 0, 1 and m)."""
@@ -226,7 +227,7 @@ class TruncSeries:
 
     def is_unit(self) -> bool:
         """True exactly for the constant-1 window."""
-        return self.codes[0] == 1 and not any(self.codes[1:])
+        return self.codes[0] == self.ctx.encode(self.ctx.one) and not any(self.codes[1:])
 
     def support(self) -> tuple:
         """Degrees >= 1 carrying a nonzero coefficient."""
@@ -240,8 +241,8 @@ class TruncSeries:
         nonzero coefficients all m, support additively closed in-window."""
         if not any(self.codes):
             return True
-        many = self.ctx.size - 1
-        if self.codes[0] not in (1, many):
+        many = self.ctx.encode(MANY)
+        if self.codes[0] not in (self.ctx.encode(self.ctx.one), many):
             return False
         sup = self.support()
         if any(self.codes[i] != many for i in sup):
@@ -303,8 +304,8 @@ def idempotent_series_from_generators(
     The constant term must be 1 or m; generators are positive exponents.
     """
     constant = ctx.encode(constant)
-    many = ctx.size - 1
-    if constant not in (1, many):
+    many = ctx.encode(MANY)
+    if constant not in (ctx.encode(ctx.one), many):
         raise ValueError("constant term of an idempotent window must be 1 or m")
     gen_list = sorted(set(gens))
     if not gen_list:
@@ -366,7 +367,8 @@ def factorization_oracle(f: Poly, max_k: Optional[int] = ORACLE_BOUND) -> Option
     n = ctx.size
     # a unit factor must be a constant with a constant inverse: degree is
     # additive, so nothing of positive degree can divide 1
-    units = {(a,) for a, row in enumerate(ctx.table_rows()[1]) if 1 in row}
+    mul, one = ctx.table_rows()[1], ctx.encode(ctx.one)
+    units = {(a,) for a in range(n) if one in mul[a]}
     for d1 in range(0, deg // 2 + 1):
         d2 = deg - d1
         for g in product(range(n), repeat=d1 + 1):

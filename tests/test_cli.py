@@ -290,6 +290,21 @@ def test_out_of_range_coefficient_is_a_usage_error(capsys):
     assert (code, out, err) == (EXIT_USAGE, "", "error: element 5 exceeds order k=2\n")
 
 
+def test_poly_and_series_read_table_rows_not_dense_tables(capsys, monkeypatch):
+    """At k = 100000 the dense tables would hold 10**10 cells; polynomial and
+    window queries read only the table rows they touch."""
+    monkeypatch.setattr(indigo.SemiringCtx, "tables", None)
+    code, out, _ = run_cli(capsys, "poly", "100000", "--mul", "2 + 300X", "1000 + X")
+    assert code == EXIT_OK and "result: 2000 + m X + 300 X^2" in out
+    code, out, _ = run_cli(capsys, "poly", "100000", "--add", "99999 + X", "1 + X")
+    assert code == EXIT_OK and "result: 100000 + 2 X" in out
+    code, report, _ = run_json(
+        capsys, "series", "100000", "--depth", "6", "--gens", "4", "--constant", "1"
+    )
+    assert code == EXIT_OK
+    assert report["payload"]["support"] == [4] and report["payload"]["idempotent"] is True
+
+
 def test_series_from_generators(capsys):
     code, report, _ = run_json(
         capsys, "series", "3", "--depth", "10", "--gens", "3,5", "--constant", "1"

@@ -42,11 +42,25 @@ def test_order_two_structure():
 
 
 def test_adjacency_follows_multiplication():
-    for k in (3, 6, 11):
-        g = build_graph(k)
-        ctx = g.ctx
-        for u, v in combinations(g.vertices, 2):
-            assert g.adjacent(u, v) == (ctx.mul(u, v) == MANY)
+    for k in (1, 3, 6, 11, 70):
+        for mutant in (None, "add-cap", "mul-cap"):
+            g = build_graph(k, mutant=mutant)
+            ctx = g.ctx
+            for u, v in combinations(g.vertices, 2):
+                assert g.adjacent(u, v) == (ctx.mul(u, v) == MANY)
+            assert not any(g.adjacent(v, v) for v in g.vertices)
+
+
+def test_large_graph_reads_table_rows_not_dense_tables(monkeypatch):
+    monkeypatch.setattr(SemiringCtx, "tables", None)
+    k = 3000
+    g = build_graph(k)
+    # finite u != v are joined exactly when u * v > k, and m is joined to every finite vertex
+    ordered = sum(k - k // u for u in range(1, k + 1))
+    finite_edges = (ordered - sum(1 for u in range(1, k + 1) if u * u > k)) // 2
+    assert g.edge_count() == finite_edges + k
+    assert g.neighbors(fin(1)) == (MANY,)
+    assert g.adjacent(fin(54), fin(56)) and not g.adjacent(fin(50), fin(60))
 
 
 def test_one_is_adjacent_only_to_m():
