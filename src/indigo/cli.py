@@ -28,6 +28,7 @@ from .core import (
     Elem,
     SemiringCtx,
     bound_limit,
+    check_bound,
     verify_laws,
 )
 
@@ -178,11 +179,14 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    g = graphs.build_graph(args.k)
     max_k = bound_limit(graphs.EXACT_SEARCH_BOUND, args.unsafe_bound)
     wanted = [name for name in ("diameter", "girth", "clique", "chromatic") if getattr(args, name)]
     if not wanted and not args.edges:
         wanted = ["diameter", "girth", "clique", "chromatic"]
+    searches = [name for name in ("clique", "chromatic") if name in wanted]
+    if searches:  # refuse an over-bound search before computing any other invariant
+        check_bound(args.k, max_k, f"exact {searches[0]} search is")
+    g = graphs.build_graph(args.k)
 
     def enc(x):
         return "infinity" if x == graphs.INFINITE else x

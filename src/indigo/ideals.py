@@ -13,13 +13,18 @@ this module reads the Cayley tables of ``ctx.tables()``; elements appear
 only at the boundary, in arguments and in views such as
 ``Ideal.members``.
 
-Enumeration is exhaustive over all subsets (2^(k+1) candidates) and is
-delegated to the scan kernels; the default bound keeps k <= 16.
+Enumeration walks the closed masks of the ideal closure in lectic
+order (Ganter's NextClosure), so it costs at most k + 2 closures per
+ideal found rather than a test of every subset; the default bound keeps
+k <= 16.
 
 ``LocalizedSemiring`` implements fractions over a multiplicatively
 closed set U through the relation a/u = b/v iff t*a*v = t*b*u for some
 t in U.  ``IdealSemiring`` makes the set of ideals itself a semiring
-under ideal sum and ideal product.
+under ideal sum and ideal product.  The sum is the lattice join, closed
+once per distinct union of masks; a product I * J is the join, over the
+codes x of I, of the principal products x * J, so the product table
+takes (k + 2) closures per ideal plus sum-table lookups.
 """
 
 from __future__ import annotations
@@ -30,7 +35,6 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from . import kernels
 from .core import ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound
 
 IDEAL_ENUM_BOUND = 16
@@ -111,7 +115,7 @@ class Ideal:
         add_t, mul_t = ctx.tables()
         member = _member(ctx, mask)
         inside = np.flatnonzero(member)
-        escapes = ~member[add_t[np.ix_(inside, inside)]]
+        escapes = ~member[add_t[inside[:, None], inside]]
         if escapes.any():
             i, j = np.argwhere(escapes)[0]
             a, b = _name(ctx, inside[i]), _name(ctx, inside[j])
@@ -163,15 +167,40 @@ class Ideal:
         return f"<Ideal {self.render()} of k={self.ctx.k}>"
 
 
+def _next_closures(close, n: int):
+    """Every mask over n bits that ``close`` fixes, in lectic order.
+
+    Ganter's NextClosure: from a closed mask, the next one is the closure
+    of its bits below i plus bit i, for the highest i that adds no lower
+    bit.  ``close`` must be a closure operator on n-bit masks; it is
+    called at most n times per mask yielded.
+    """
+    full = (1 << n) - 1
+    mask = close(0)
+    yield mask
+    while mask != full:
+        for i in reversed(range(n)):
+            bit = 1 << i
+            if mask & bit:
+                continue
+            low = mask & (bit - 1)
+            grown = close(low | bit)
+            if grown & (bit - 1) == low:
+                break
+        mask = grown
+        yield mask
+
+
 def enumerate_ideals(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> list:
     """Every ideal, in canonical order (cardinality, then lexicographic).
 
-    Exhausts all 2^(k+1) subsets containing zero, so the default bound
-    keeps k <= 16; ``max_k=None`` lifts it.
+    NextClosure over the ideal closure: at most k + 2 closures per ideal.
+    The lattice itself grows fast with k, so the default bound keeps
+    k <= 16; ``max_k=None`` lifts it.
     """
-    check_bound(ctx.k, max_k, "ideal enumeration is exhaustive over subsets;")
-    masks = kernels.all_ideal_masks(*ctx.tables())
-    return sorted((Ideal(ctx, int(m)) for m in masks), key=Ideal.sort_key)
+    check_bound(ctx.k, max_k, "ideal enumeration is")
+    masks = _next_closures(_Closure(ctx), ctx.size)
+    return sorted((Ideal(ctx, m) for m in masks), key=Ideal.sort_key)
 
 
 def ideal_generated(ctx: SemiringCtx, gens: Iterable[Elem]) -> Ideal:
@@ -201,7 +230,7 @@ def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
         return False
     member = _member(ctx, ideal.mask)
     outside = np.flatnonzero(~member)
-    return not member[ctx.tables()[1][np.ix_(outside, outside)]].any()
+    return not member[ctx.tables()[1][outside[:, None], outside]].any()
 
 
 def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
@@ -470,6 +499,31 @@ def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     return LocalizedSemiring(ctx, units)
 
 
+def _ideal_tables(ctx: SemiringCtx, index: dict) -> tuple:
+    """Sum and product tables of the ideals in ``index`` (mask -> position),
+    as arrays of positions: [i, j] is ideal i + ideal j, or ideal i * ideal j.
+
+    The sum closes each distinct union of two masks once.  The product
+    of I and J is the join of the principal products x * J over the
+    codes x of I, so it needs one closure per code and ideal, and then
+    only sum-table lookups.
+    """
+    close = _Closure(ctx)
+    masks = list(index)
+    joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
+    for union in {a | b for a in masks for b in masks}.difference(joins):
+        joins[union] = index[close(union)]
+    add = np.array([[joins[a | b] for b in masks] for a in masks])
+    principal = np.array(
+        [[index[close.product(1 << x, b)] for b in masks] for x in range(ctx.size)]
+    )
+    mul = np.full_like(add, index[close(0)])  # the least ideal is neutral for the join
+    for x, products in enumerate(principal):
+        rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
+        mul[rows] = add[mul[rows], products]
+    return add, mul
+
+
 class IdealSemiring:
     """All ideals under ideal sum and ideal product.
 
@@ -486,12 +540,9 @@ class IdealSemiring:
         self.zero_index = index[1]  # the ideal {0}
         self.one_index = index[(1 << ctx.size) - 1]  # the whole semiring
         self.ls_index = index[1 | 1 << (ctx.size - 1)]  # {0, m}
-        close = _Closure(ctx)
-        masks = [ideal.mask for ideal in self.ideals]
-        self.add_table = tuple(tuple(index[close(a | b)] for b in masks) for a in masks)
-        self.mul_table = tuple(
-            tuple(index[close.product(a, b)] for b in masks) for a in masks
-        )
+        add, mul = _ideal_tables(ctx, index)
+        self.add_table = tuple(map(tuple, add.tolist()))
+        self.mul_table = tuple(map(tuple, mul.tolist()))
 
     def index_of(self, ideal: Ideal) -> int:
         return self._index[ideal.mask]
@@ -552,13 +603,18 @@ def nilpotency_index(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) 
     Such an n always exists; 2^n > k is a guaranteed upper bound because
     an n-fold product of elements >= 2 then exceeds k.
     """
+    lattice = enumerate_ideals(ctx, max_k=max_k)
+    index = {ideal.mask: i for i, ideal in enumerate(lattice)}
+    mul = _ideal_tables(ctx, index)[1]
     full = (1 << ctx.size) - 1
-    factors = [i.mask for i in enumerate_ideals(ctx, max_k=max_k) if i.mask not in (1, full)]
-    close = _Closure(ctx)
-    current = set(factors)
+    factors = [i for mask, i in index.items() if mask not in (1, full)]
+    least = index.get(1 | 1 << (ctx.size - 1))  # {0, m}
+    current = factors
     n = 1
-    while current != {1 | 1 << (ctx.size - 1)}:
-        current = {close.product(a, b) for a in current for b in factors}
+    while current != [least]:
+        reached = np.zeros(len(lattice), dtype=bool)
+        reached[mul[np.ix_(current, factors)]] = True
+        current = np.flatnonzero(reached).tolist()
         n += 1
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")

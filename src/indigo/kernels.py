@@ -1,10 +1,11 @@
-"""Hot scan kernels over dense Cayley tables, vectorized with numpy.
+"""Law scan kernels over dense Cayley tables, vectorized with numpy.
 
 Tables are (n, n) integer arrays indexed by element codes (0 = zero,
 1..k = finite, k + 1 = many); code order equals the semiring's total
-order.  Each law scan builds the boolean array of violations and
-returns its lexicographically first index as a tuple of codes, or
-``None`` when the law holds.
+order.  Each scan checks one semiring law over every index at once:
+it builds the boolean array of violations and returns its
+lexicographically first index as a tuple of codes, or ``None`` when the
+law holds.  ``core.verify_laws`` is their only caller.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ from typing import Optional
 import numpy as np
 
 BACKEND = "numpy"
-
-_IDEAL_CHUNK = 4096
 
 
 def _first(bad: np.ndarray) -> Optional[tuple]:
@@ -73,28 +72,3 @@ def first_monotonicity_break(t) -> Optional[tuple]:
     bad = t[:, None, :] > t[None, :, :]  # [a, b, c] = t[a, c] > t[b, c]
     bad &= np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
     return _first(bad)
-
-
-def all_ideal_masks(add_t, mul_t) -> np.ndarray:
-    """Bitmasks of every subset that is an ideal, in ascending mask order.
-
-    Bit c of a mask records membership of code c.  Candidates are all
-    subsets containing zero; each is tested for closure under addition
-    and for absorbing products with arbitrary elements.
-    """
-    n = add_t.shape[0]
-    total = 1 << (n - 1)
-    bits = np.arange(n, dtype=np.int64)
-    add_flat = add_t.ravel().astype(np.int64)
-    mul_flat = mul_t.ravel().astype(np.int64)
-    found = [np.empty(0, dtype=np.int64)]
-    for start in range(0, total, _IDEAL_CHUNK):
-        parts = np.arange(start, min(start + _IDEAL_CHUNK, total), dtype=np.int64)
-        full = (parts << 1) | 1  # zero is always a member
-        member = ((full[:, None] >> bits[None, :]) & 1).astype(bool)  # (S, n)
-        sums_in = member[:, add_flat].reshape(-1, n, n)
-        closed = np.all(~(member[:, :, None] & member[:, None, :]) | sums_in, axis=(1, 2))
-        prods_in = member[:, mul_flat].reshape(-1, n, n)  # [i, s, a] = member of mul_t[s, a]
-        absorbed = np.all(~member[:, None, :] | prods_in, axis=(1, 2))
-        found.append(full[closed & absorbed])
-    return np.concatenate(found)

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import indigo
-from indigo import checks, cli, ideals
+from indigo import checks, cli, graphs, ideals
 from indigo.cli import (
     EXIT_BOUND,
     EXIT_INTERNAL,
@@ -177,6 +177,26 @@ def test_graph_bound_applies_to_exact_searches(capsys):
     code, report, _ = run_json(capsys, "graph", "25", "--diameter", "--girth")
     assert code == EXIT_OK
     assert report["payload"]["diameter"] == 2
+
+
+def test_graph_bound_is_checked_before_distance_searches(capsys, monkeypatch):
+    def never(g):
+        raise AssertionError("distance search ran before the bound check")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(graphs, "diameter", never)
+        patch.setattr(graphs, "girth", never)
+        code, out, _ = run_cli(capsys, "graph", "25")
+        assert code == EXIT_BOUND
+        assert out == (
+            "status: bound-exceeded\n"
+            "error: exact clique search is bounded at k <= 24, got k=25\n"
+        )
+        code, report, _ = run_json(capsys, "graph", "25", "--girth", "--chromatic")
+        assert code == EXIT_BOUND
+        assert report["error"] == "exact chromatic search is bounded at k <= 24, got k=25"
+    code, _, _ = run_cli(capsys, "graph", "25", "--diameter")
+    assert code == EXIT_OK
 
 
 # --- ideals, spectrum, localization ------------------------------------------

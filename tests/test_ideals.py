@@ -1,8 +1,10 @@
+import functools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from indigo import checks
+from indigo import checks, ideals
 from indigo.core import MANY, ZERO, BoundExceededError, SemiringCtx, fin
 from indigo.ideals import (
     IDEAL_ENUM_BOUND,
@@ -415,6 +417,71 @@ def test_sum_with_larger_is_absorption():
         for b in lattice:
             if a.issubset(b):
                 assert ideal_sum(a, b).members == b.members
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", range(1, 9))
+def test_ideal_semiring_tables_match_pairwise_operations(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    ids = ideal_semiring(c)
+    for i, a in enumerate(ids.ideals):
+        for j, b in enumerate(ids.ideals):
+            assert ids.add_table[i][j] == ids.index_of(ideal_sum(a, b))
+            assert ids.mul_table[i][j] == ids.index_of(ideal_product(a, b))
+
+
+def ref_nilpotency(c):
+    """The iteration of ``nilpotency_index`` with one ``ideal_product`` per
+    pair of ideals; None where it does not stabilize."""
+    product = functools.cache(ideal_product)  # the iterations revisit pairs
+    factors = [i for i in enumerate_ideals(c) if not i.is_zero and not i.is_whole]
+    current = set(factors)
+    n = 1
+    while current != {Ideal(c, mask(c, 0, "m"))}:
+        current = {product(a, b) for a in current for b in factors}
+        n += 1
+        if n > 2 * c.k + 2:
+            return None
+    return n
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", range(1, 11))
+def test_nilpotency_index_matches_pairwise_products(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    want = ref_nilpotency(c)
+    if want is None:
+        with pytest.raises(RuntimeError, match="failed to stabilize"):
+            nilpotency_index(c)
+    else:
+        assert nilpotency_index(c) == want
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+def test_ideal_layer_cost_is_output_sensitive(monkeypatch, mutant):
+    calls = []  # every ideal closure, including those of products
+    close = ideals._Closure.__call__
+
+    def counted(self, seed):
+        calls.append(seed)
+        return close(self, seed)
+
+    monkeypatch.setattr(ideals._Closure, "__call__", counted)
+    for k in (1, 4, 8, 12, 16):
+        c = SemiringCtx(k, mutant=mutant)
+        calls.clear()
+        lattice = enumerate_ideals(c)
+        assert len(calls) <= c.size * len(lattice)  # NextClosure: at most size per ideal
+    c = SemiringCtx(12, mutant=mutant)
+    calls.clear()
+    n = len(enumerate_ideals(c))
+    enumerating = len(calls)
+    calls.clear()
+    ids = ideal_semiring(c)
+    masks = [i.mask for i in ids.ideals]
+    unions = {a | b for a in masks for b in masks}
+    # one closure per principal product x * J, one per distinct union
+    assert len(calls) - enumerating <= c.size * n + len(unions)
 
 
 def test_nilpotency_index_values():

@@ -1,8 +1,14 @@
-"""The numpy scan kernels against plain-Python reference scans.
+"""The numpy scan kernels against plain-Python reference scans, and the
+ideal enumeration against a scan of every subset.
 
 Each reference loops over codes in lexicographic order and stops at the
 first violation, so a kernel must report exactly the same first
 counterexample, not just some counterexample.
+
+The ideal layer enumerates by NextClosure; the subset scans here
+(``all_ideal_masks`` in numpy, ``ref_ideal_masks`` in plain Python) are
+its independent oracles, run on semiring, mutant, corrupted and random
+tables.
 """
 
 import numpy as np
@@ -10,6 +16,7 @@ import pytest
 
 from indigo import kernels
 from indigo.core import ZERO, SemiringCtx
+from indigo.ideals import enumerate_ideals
 
 
 def ref_commutativity(t):
@@ -97,6 +104,34 @@ def ref_ideal_masks(add_t, mul_t):
     return out
 
 
+_IDEAL_CHUNK = 4096
+
+
+def all_ideal_masks(add_t, mul_t) -> np.ndarray:
+    """Bitmasks of every subset that is an ideal, in ascending mask order.
+
+    Bit c of a mask records membership of code c.  Candidates are all
+    subsets containing zero; each is tested for closure under addition
+    and for absorbing products with arbitrary elements.
+    """
+    n = add_t.shape[0]
+    total = 1 << (n - 1)
+    bits = np.arange(n, dtype=np.int64)
+    add_flat = add_t.ravel().astype(np.int64)
+    mul_flat = mul_t.ravel().astype(np.int64)
+    found = [np.empty(0, dtype=np.int64)]
+    for start in range(0, total, _IDEAL_CHUNK):
+        parts = np.arange(start, min(start + _IDEAL_CHUNK, total), dtype=np.int64)
+        full = (parts << 1) | 1  # zero is always a member
+        member = ((full[:, None] >> bits[None, :]) & 1).astype(bool)  # (S, n)
+        sums_in = member[:, add_flat].reshape(-1, n, n)
+        closed = np.all(~(member[:, :, None] & member[:, None, :]) | sums_in, axis=(1, 2))
+        prods_in = member[:, mul_flat].reshape(-1, n, n)  # [i, s, a] = member of mul_t[s, a]
+        absorbed = np.all(~member[:, None, :] | prods_in, axis=(1, 2))
+        found.append(full[closed & absorbed])
+    return np.concatenate(found)
+
+
 SINGLE_TABLE = [
     (kernels.first_commutativity_break, ref_commutativity),
     (kernels.first_associativity_break, ref_associativity),
@@ -114,7 +149,7 @@ def assert_kernels_match(add_t, mul_t):
     assert kernels.first_distributivity_break(add_t, mul_t) == ref_distributivity(add_t, mul_t)
     assert kernels.first_zero_divisor(mul_t) == ref_zero_divisor(mul_t)
     assert kernels.first_zero_sum(add_t) == ref_zero_sum(add_t)
-    assert kernels.all_ideal_masks(add_t, mul_t).tolist() == ref_ideal_masks(add_t, mul_t)
+    assert all_ideal_masks(add_t, mul_t).tolist() == ref_ideal_masks(add_t, mul_t)
 
 
 def tables(k, mutant=None):
@@ -179,8 +214,89 @@ def brute_force_ideal_masks(k, mutant=None):
 def test_ideal_masks_match_brute_force(k):
     for mutant in (None, "mul-cap"):
         add_t, mul_t = tables(k, mutant)
-        got = sorted(int(m) for m in kernels.all_ideal_masks(add_t, mul_t))
+        got = sorted(int(m) for m in all_ideal_masks(add_t, mul_t))
         assert got == brute_force_ideal_masks(k, mutant), mutant
+
+
+# --- NextClosure against the subset scans ------------------------------------
+
+
+def enumerated_masks(ctx):
+    return sorted(ideal.mask for ideal in enumerate_ideals(ctx, max_k=None))
+
+
+class TableCtx:
+    """Just enough of ``SemiringCtx`` for the ideal layer over arbitrary tables."""
+
+    def __init__(self, add_t, mul_t):
+        self.size = add_t.shape[0]
+        self.k = self.size - 2
+        self._tables = (add_t, mul_t)
+
+    def tables(self):
+        return self._tables
+
+    def table_rows(self):
+        return tuple(t.tolist() for t in self._tables)
+
+
+@pytest.mark.parametrize("k", range(1, 17))
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_next_closure_matches_scan_oracle(k, mutant):
+    ctx = SemiringCtx(k, mutant=mutant)
+    assert enumerated_masks(ctx) == all_ideal_masks(*ctx.tables()).tolist()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+@pytest.mark.parametrize("seed", range(6))
+def test_next_closure_matches_scan_oracle_on_seeded_tables(n, seed):
+    for add_t, mul_t in seeded_tables(n, seed):
+        assert enumerated_masks(TableCtx(add_t, mul_t)) == ref_ideal_masks(add_t, mul_t)
+
+
+def test_next_closure_matches_scan_oracle_under_every_cell_corruption(monkeypatch):
+    # the corruption goes in through the rule itself, so the dense tables
+    # and the rows the closure reads both see it
+    k = 3
+    clean_rule = SemiringCtx._cayley
+    clean = SemiringCtx(k).tables()
+    clean_masks = enumerated_masks(SemiringCtx(k))
+    corruptions = changed = 0
+    for which, op in enumerate(("add", "mul")):
+        for i, j in np.ndindex(clean[which].shape):
+            for wrong in range(k + 2):
+                if wrong == clean[which][i, j]:
+                    continue
+
+                def rule(self, rule_op, a, b, op=op, i=i, j=j, wrong=wrong):
+                    codes = np.arange(self.size)
+                    table = clean_rule(self, rule_op, codes[:, None], codes)
+                    if rule_op == op:
+                        table[i, j] = wrong
+                    return table[a, b]
+
+                monkeypatch.setattr(SemiringCtx, "_cayley", rule)
+                ctx = SemiringCtx(k)
+                assert ctx.tables()[which][i, j] == wrong
+                want = all_ideal_masks(*ctx.tables()).tolist()
+                got = enumerated_masks(ctx)
+                assert got == want, (op, i, j, wrong)
+                corruptions += 1
+                changed += got != clean_masks
+    assert corruptions == 200
+    assert changed > 0  # the corruptions reach the lattice
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("k", range(17, 21))
+def test_next_closure_matches_scan_oracle_beyond_the_bound(k):
+    ctx = SemiringCtx(k)
+    assert enumerated_masks(ctx) == all_ideal_masks(*ctx.tables()).tolist()
+
+
+def test_kernels_hold_law_scans_only():
+    assert not hasattr(kernels, "all_ideal_masks")
+    assert not hasattr(kernels, "_IDEAL_CHUNK")
 
 
 def test_first_counterexample_is_lexicographic():
