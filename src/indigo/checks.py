@@ -90,16 +90,16 @@ def _check_graph_girth(k_max: int, mutant, unsafe: bool) -> Optional[str]:
 
 
 def _check_graph_clique(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    small = {1: 2, 2: 2, 3: 3, 4: 4}
     ks, limit = _bounded(k_max, graphs.EXACT_SEARCH_BOUND, unsafe)
     for k in ks:
         g = graphs.build_graph(k, mutant=mutant)
         omega = graphs.clique_number(g, max_k=limit)
-        bound = k // 2 + 1
-        if omega < bound:
-            return f"k={k}: clique number {omega} below bound {bound}"
-        if k in small and omega != small[k]:
-            return f"k={k}: clique number {omega}, expected {small[k]}"
+        # m and the run s..k, with s the least s where s * (s + 1) > k
+        s = 1
+        while s * (s + 1) <= k:
+            s += 1
+        if omega != k - s + 2:
+            return f"k={k}: clique number {omega}, expected {k - s + 2}"
         if k >= 5:
             witness = [fin(i) for i in range(k - k // 2, k + 1)] + [MANY]
             for i, u in enumerate(witness):
@@ -115,8 +115,8 @@ def _check_graph_chromatic(k_max: int, mutant, unsafe: bool) -> Optional[str]:
         g = graphs.build_graph(k, mutant=mutant)
         omega = graphs.clique_number(g, max_k=limit)
         chi = graphs.chromatic_number(g, max_k=limit)
-        if chi < omega:
-            return f"k={k}: chromatic number {chi} below clique number {omega}"
+        if chi != omega:
+            return f"k={k}: chromatic number {chi}, clique number {omega}"
     return None
 
 

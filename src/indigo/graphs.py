@@ -2,15 +2,15 @@
 
 The Indigenous graph of order k lives on the nonzero elements
 {1, ..., k, m}; two distinct vertices are joined exactly when their
-product saturates to m.  Adjacency is read off the rows of the
-multiplication table (``ctx.table_row``), one row per vertex, so any
-arithmetic change (including an injected mutant) propagates here;
-elements appear only in vertex queries, edge lists and JSON views.
+product saturates to m.  Adjacency is read off the multiplication rule
+(``ctx._cayley``), so any arithmetic change (including an injected
+mutant) propagates here, and a rule whose row and column disagree on an
+edge is refused.  Elements appear only in vertex queries, edge lists and
+JSON views.
 
-The four invariants (diameter, girth, clique number, chromatic number)
-are computed exactly.  Vertex counts stay small (k + 1), so plain
-breadth-first search plus branch-and-bound over bitset adjacency rows
-is entirely adequate.
+Since u ~ v exactly when u * v > k, neighbourhoods are nested: the graph
+is a threshold graph (Chvatal and Hammer, 1977).  One peeling of
+isolated and dominating vertices gives all four invariants exactly.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ import numpy as np
 
 from .core import MANY, Elem, SemiringCtx, check_bound
 
+# clique and chromatic queries above it still exit 3, though the peeling is O(k) bitset steps
 EXACT_SEARCH_BOUND = 24
 
 INFINITE = math.inf
@@ -35,11 +36,17 @@ class IndigenousGraph:
         self.ctx = ctx
         self.vertices = ctx.nonzero_elements()
         many = ctx.encode(MANY)
-        codes = np.array([ctx.encode(v) for v in self.vertices])
+        codes = np.arange(1, ctx.size)
         adj = []
         for i, a in enumerate(codes.tolist()):
-            # the table is commutative, so row i is also column i
-            saturated = ctx.table_row("mul", a)[codes] == many
+            saturated = ctx._cayley("mul", a, codes) == many
+            transposed = ctx._cayley("mul", codes, a) == many
+            if not np.array_equal(saturated, transposed):
+                u, v = self.vertices[i], self.vertices[int(np.argmax(saturated != transposed))]
+                raise ValueError(
+                    f"k={ctx.k}: {u.render()} * {v.render()} and {v.render()} * {u.render()} "
+                    "disagree on saturation"
+                )
             saturated[i] = False
             adj.append(int.from_bytes(np.packbits(saturated, bitorder="little").tobytes(), "little"))
         self._adj = adj
@@ -98,137 +105,60 @@ def build_graph(k: int, mutant: Optional[str] = None) -> IndigenousGraph:
     return IndigenousGraph(SemiringCtx(k, mutant=mutant))
 
 
-def _bfs_dist(adj: list, start: int, skip_edge: Optional[tuple] = None) -> list:
-    n = len(adj)
-    dist = [-1] * n
-    dist[start] = 0
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            row = adj[u]
-            while row:
-                v = (row & -row).bit_length() - 1
-                row &= row - 1
-                if skip_edge is not None and (u, v) in (skip_edge, skip_edge[::-1]):
-                    continue
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    nxt.append(v)
-        frontier = nxt
-    return dist
+def _peel(g: IndigenousGraph) -> list:
+    """Kinds of the first n - 1 removals of the threshold peeling: True
+    for a dominating vertex, False for an isolated one.
+
+    Every alive degree drops by one at a dominating removal and none at
+    an isolated one, so degree order is kept: only the highest alive
+    vertex can dominate and only the lowest can be isolated.
+    """
+    adj = g._adj
+    order = sorted(range(g.order), key=lambda v: adj[v].bit_count())
+    alive = (1 << g.order) - 1
+    lo, hi = 0, g.order - 1
+    kinds = []
+    while lo < hi:
+        top, bottom = order[hi], order[lo]
+        if adj[top] & alive == alive ^ (1 << top):
+            alive ^= 1 << top
+            hi -= 1
+            kinds.append(True)
+        elif adj[bottom] & alive == 0:
+            alive ^= 1 << bottom
+            lo += 1
+            kinds.append(False)
+        else:
+            raise ValueError(f"k={g.k}: the graph is not a threshold graph")
+    return kinds
 
 
 def diameter(g: IndigenousGraph) -> Union[int, float]:
     """Greatest distance between two vertices; INFINITE when disconnected."""
-    best = 0
-    for s in range(g.order):
-        dist = _bfs_dist(g._adj, s)
-        if any(d < 0 for d in dist):
-            return INFINITE
-        best = max(best, max(dist))
-    return best
+    kinds = _peel(g)
+    if all(kinds):
+        return 1
+    # a first vertex that dominates is one step from all; an isolated one is cut off
+    return 2 if kinds[0] else INFINITE
 
 
 def girth(g: IndigenousGraph) -> Union[int, float]:
-    """Length of a shortest cycle; INFINITE when the graph is a forest."""
-    best = INFINITE
-    adj = g._adj
-    for u in range(g.order):
-        row = adj[u]
-        for v in range(u + 1, g.order):
-            if not (row >> v & 1):
-                continue
-            # shortest cycle through edge {u, v} = 1 + distance avoiding it
-            dist = _bfs_dist(adj, u, skip_edge=(u, v))
-            if dist[v] > 0:
-                best = min(best, dist[v] + 1)
-    return best
+    """Length of a shortest cycle; INFINITE when the graph is a forest.
+    Threshold graphs are chordal, so one without a triangle is a forest."""
+    return 3 if sum(_peel(g)) >= 2 else INFINITE
 
 
 def clique_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
-    """Size of a largest clique, by Bron-Kerbosch with pivoting."""
+    """Size of a largest clique: the dominating removals and the last vertex."""
     check_bound(g.k, max_k, "exact clique search is")
-    adj = g._adj
-    n = g.order
-    best = 0
-
-    def expand(size: int, cand: int, done: int):
-        nonlocal best
-        if cand == 0 and done == 0:
-            best = max(best, size)
-            return
-        if size + cand.bit_count() <= best:
-            return
-        pool = cand | done
-        pivot = -1
-        pivot_deg = -1
-        probe = pool
-        while probe:
-            u = (probe & -probe).bit_length() - 1
-            probe &= probe - 1
-            d = (cand & adj[u]).bit_count()
-            if d > pivot_deg:
-                pivot_deg = d
-                pivot = u
-        rest = cand & ~adj[pivot]
-        while rest:
-            v = (rest & -rest).bit_length() - 1
-            bit = 1 << v
-            rest &= rest - 1
-            expand(size + 1, cand & adj[v], done & adj[v])
-            cand &= ~bit
-            done |= bit
-
-    expand(0, (1 << n) - 1, 0)
-    return best
+    return sum(_peel(g)) + 1
 
 
 def chromatic_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
-    """Least number of colors in a proper coloring, by backtracking.
-
-    The search starts at the clique number, which is always a lower
-    bound, and raises the budget until a coloring exists.
-    """
+    """Least number of colors in a proper coloring: one per dominating
+    removal, and one shared by the independent rest."""
     check_bound(g.k, max_k, "exact chromatic search is")
-    n = g.order
-    if g.edge_count() == 0:
-        return 1 if n else 0
-    adj = g._adj
-    order = sorted(range(n), key=lambda v: adj[v].bit_count(), reverse=True)
-
-    def colorable(budget: int) -> bool:
-        colors = [-1] * n
-
-        def assign(pos: int, used: int) -> bool:
-            if pos == n:
-                return True
-            v = order[pos]
-            taken = 0
-            row = adj[v]
-            while row:
-                u = (row & -row).bit_length() - 1
-                row &= row - 1
-                if colors[u] >= 0:
-                    taken |= 1 << colors[u]
-            # allowing one fresh color per step breaks color symmetry
-            limit = min(budget, used + 1)
-            for c in range(limit):
-                if taken >> c & 1:
-                    continue
-                colors[v] = c
-                if assign(pos + 1, max(used, c + 1)):
-                    return True
-                colors[v] = -1
-            return False
-
-        return assign(0, 0)
-
-    low = clique_number(g, max_k=max_k)
-    budget = max(low, 1)
-    while not colorable(budget):
-        budget += 1
-    return budget
+    return sum(_peel(g)) + 1
 
 
 @dataclass(frozen=True)

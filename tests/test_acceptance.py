@@ -57,17 +57,14 @@ def test_criterion_1_semiring_laws():
 
 def test_criterion_2_graph_invariants():
     started = time.perf_counter()
-    small_cliques = {1: 2, 2: 2, 3: 3, 4: 4}
     for k in range(1, 25):
         g = graphs.build_graph(k)
         assert graphs.diameter(g) == (1 if k == 1 else 2)
         assert graphs.girth(g) == (graphs.INFINITE if k <= 2 else 3)
-        omega = graphs.clique_number(g)
-        assert omega >= k // 2 + 1
-        if k in small_cliques:
-            assert omega == small_cliques[k]
-        assert graphs.chromatic_number(g) >= omega
-    report(2, "diameter, girth, clique and chromatic bounds for k = 1..24", started, budget=10.0)
+        # a largest clique is m and the run s..k, with s the least s where s * (s + 1) > k
+        s = next(s for s in range(1, k + 1) if s * (s + 1) > k)
+        assert graphs.clique_number(g) == graphs.chromatic_number(g) == k - s + 2
+    report(2, "diameter, girth, clique and chromatic numbers for k = 1..24", started, budget=10.0)
 
 
 def test_criterion_3_ideal_lattice():

@@ -2,6 +2,7 @@ import argparse
 import io
 import json
 import os
+import resource
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -584,6 +585,34 @@ def test_module_entry_point_numpy_backend():
     backend = run_child(["-c", "import indigo.kernels as k; print(k.BACKEND)"], env)
     assert backend.returncode == 0, backend.stderr
     assert backend.stdout.strip() == "numpy"
+
+
+def limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_graph_at_large_k_fits_a_time_and_memory_limit():
+    # only the child runs under the 1 GiB address-space limit and the 60 s timeout
+    def graph(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "indigo", "graph", "3000", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+            preexec_fn=limit_address_space,
+        )
+
+    proc = graph("--diameter", "--girth", "--json")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert (payload["diameter"], payload["girth"]) == (2, 3)
+    proc = graph()
+    assert proc.returncode == EXIT_BOUND, proc.stderr
+    assert proc.stdout == (
+        "status: bound-exceeded\n"
+        "error: exact clique search is bounded at k <= 24, got k=3000\n"
+    )
 
 
 def run_child_into_closed_pipe(args, env):

@@ -1,9 +1,10 @@
-import math
-from itertools import combinations
+from itertools import combinations, product
 
 import networkx as nx
+import numpy as np
 import pytest
 
+from indigo import checks
 from indigo.core import MANY, BoundExceededError, SemiringCtx, fin
 from indigo.graphs import (
     EXACT_SEARCH_BOUND,
@@ -18,11 +19,31 @@ from indigo.graphs import (
 )
 
 
+CONTEXTS = (None, "add-cap", "mul-cap")
+
+
 def to_networkx(g: IndigenousGraph) -> nx.Graph:
     h = nx.Graph()
     h.add_nodes_from(v.render() for v in g.vertices)
     h.add_edges_from((u.render(), v.render()) for u, v in g.edges())
     return h
+
+
+def assert_distances_match_networkx(g: IndigenousGraph, h: nx.Graph):
+    assert diameter(g) == (nx.diameter(h) if nx.is_connected(h) else INFINITE)
+    assert girth(g) == nx.girth(h)  # both give a forest girth math.inf
+
+
+def assert_clique_matches_networkx(g: IndigenousGraph, h: nx.Graph, max_k=EXACT_SEARCH_BOUND):
+    assert clique_number(g, max_k=max_k) == max(len(c) for c in nx.find_cliques(h))
+
+
+def assert_coloring_matches_greedy(g: IndigenousGraph, h: nx.Graph, max_k=EXACT_SEARCH_BOUND):
+    # a proper coloring with as many colors as the largest clique proves chi = omega
+    coloring = nx.greedy_color(h, strategy="largest_first")
+    assert all(coloring[u] != coloring[v] for u, v in h.edges)
+    omega = max(len(c) for c in nx.find_cliques(h))
+    assert len(set(coloring.values())) == omega == chromatic_number(g, max_k=max_k)
 
 
 def test_order_one_is_a_single_edge():
@@ -71,17 +92,9 @@ def test_one_is_adjacent_only_to_m():
 
 
 def test_diameter_and_girth_against_networkx():
-    for k in range(1, 15):
-        g = build_graph(k)
-        h = to_networkx(g)
-        d = diameter(g)
-        if nx.is_connected(h):
-            assert d == nx.diameter(h)
-        else:
-            assert d == INFINITE
-        gi = girth(g)
-        nx_girth = nx.girth(h)
-        assert gi == (INFINITE if nx_girth == math.inf else nx_girth)
+    for mutant, k in product(CONTEXTS, range(1, EXACT_SEARCH_BOUND + 1)):
+        g = build_graph(k, mutant=mutant)
+        assert_distances_match_networkx(g, to_networkx(g))
 
 
 def test_girth_dichotomy():
@@ -98,10 +111,9 @@ def test_girth_dichotomy():
 
 
 def test_clique_number_against_networkx():
-    for k in range(1, 25):
-        g = build_graph(k)
-        h = to_networkx(g)
-        assert clique_number(g) == max(len(c) for c in nx.find_cliques(h))
+    for mutant, k in product(CONTEXTS, range(1, EXACT_SEARCH_BOUND + 1)):
+        g = build_graph(k, mutant=mutant)
+        assert_clique_matches_networkx(g, to_networkx(g))
 
 
 def test_clique_small_orders_exact():
@@ -161,10 +173,115 @@ def test_chromatic_known_values():
     assert chromatic_number(build_graph(7)) == 6
 
 
-def test_chromatic_at_least_clique():
-    for k in range(1, 25):
-        g = build_graph(k)
-        assert chromatic_number(g) >= clique_number(g)
+def test_chromatic_number_against_greedy_coloring():
+    for mutant, k in product(CONTEXTS, range(1, EXACT_SEARCH_BOUND + 1)):
+        g = build_graph(k, mutant=mutant)
+        assert_coloring_matches_greedy(g, to_networkx(g))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", CONTEXTS)
+def test_invariants_against_networkx_beyond_the_bound(mutant):
+    for k in range(EXACT_SEARCH_BOUND + 1, 101):
+        g = build_graph(k, mutant=mutant)
+        h = to_networkx(g)
+        assert_distances_match_networkx(g, h)
+        assert_clique_matches_networkx(g, h, max_k=None)
+        assert_coloring_matches_greedy(g, h, max_k=None)
+
+
+def has_induced_p4_c4_or_2k2(g: IndigenousGraph) -> bool:
+    # on four vertices, degrees 1,1,2,2 are P4, 2,2,2,2 are C4 and 1,1,1,1 are 2K2
+    for quad in combinations(range(g.order), 4):
+        degrees = sorted((g._adj[v] & sum(1 << u for u in quad)).bit_count() for v in quad)
+        if degrees in ([1, 1, 2, 2], [2, 2, 2, 2], [1, 1, 1, 1]):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("n", range(2, 6))  # an order-k graph has k + 1 >= 2 vertices
+def test_every_small_graph_is_peeled_or_refused(n):
+    pairs = list(combinations(range(n), 2))
+    refused = 0
+    for present in product((False, True), repeat=len(pairs)):
+        g = build_graph(n - 1)
+        g._adj = [0] * n
+        for (a, b), on in zip(pairs, present):
+            if on:
+                g._adj[a] |= 1 << b
+                g._adj[b] |= 1 << a
+        if has_induced_p4_c4_or_2k2(g):
+            refused += 1
+            for invariant in (diameter, girth, clique_number, chromatic_number):
+                with pytest.raises(ValueError, match="not a threshold graph"):
+                    invariant(g)
+            continue
+        h = to_networkx(g)
+        assert_distances_match_networkx(g, h)
+        assert_clique_matches_networkx(g, h)
+        chi = chromatic_number(g)
+        assert brute_force_colorable(g, chi) and not brute_force_colorable(g, chi - 1)
+    assert (refused > 0) == (n >= 4)
+
+
+_CLEAN_RULE = SemiringCtx._cayley
+
+
+def cell_fault(op, i, j, wrong, k=3):
+    """A ``SemiringCtx._cayley`` that puts ``wrong`` in cell (i, j) of the
+    ``op`` table at order k and computes every other cell cleanly."""
+
+    def rule(self, rule_op, a, b):
+        codes = np.arange(self.size)
+        table = _CLEAN_RULE(self, rule_op, codes[:, None], codes)
+        if rule_op == op and self.k == k:
+            table[i, j] = wrong
+        return table[a, b]
+
+    return rule
+
+
+def test_one_sided_fault_is_refused(monkeypatch):
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("mul", 2, 3, 3))
+    with pytest.raises(ValueError, match=r"k=3: 2 \* 3 and 3 \* 2 disagree on saturation"):
+        build_graph(3)
+    assert build_graph(2).edge_count() == 2
+
+
+# (op, row, column, wrong code) at K = 3 that failed each graph claim when
+# BFS, Bron-Kerbosch and the backtracking colourer computed the invariants:
+# diameter caught one-sided faults in m's row or column, girth those at (2, m)
+_SEARCH_FAILURES = {
+    "graph-diameter": {
+        cell for a in (1, 2, 3) for w in range(4) for cell in (("mul", a, 4, w), ("mul", 4, a, w))
+    },
+    "graph-girth": {("mul", 2, 4, w) for w in range(4)},
+    "graph-clique": set(),
+    "graph-chromatic": set(),
+}
+
+
+def test_every_graph_claim_is_failed_by_a_cell_corruption(monkeypatch):
+    k = 3
+    clean = SemiringCtx(k).tables()
+    claims = [(name, fn) for name, _, fn in checks._CHECKS if name.startswith("graph-")]
+    assert [name for name, _ in claims] == list(_SEARCH_FAILURES)
+    failures = {name: set() for name, _ in claims}
+    corruptions = 0
+    for which, op in enumerate(("add", "mul")):
+        for i, j in np.ndindex(clean[which].shape):
+            for wrong in range(k + 2):
+                if wrong == clean[which][i, j]:
+                    continue
+                monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(op, i, j, wrong, k))
+                corruptions += 1
+                for name, fn in claims:
+                    if not checks._claim(name, "", lambda: fn(k, None, False)).passed:
+                        failures[name].add((op, i, j, wrong))
+    assert corruptions == 200
+    for name, failed in failures.items():
+        assert failed, name
+        assert _SEARCH_FAILURES[name] <= failed, name
 
 
 def test_invariants_bundle():
