@@ -11,7 +11,10 @@ divisors (entire) and no nonzero elements summing to zero (zerosumfree).
 ``SemiringCtx`` fixes the order k and owns all element arithmetic, the
 Cayley tables over element codes (dense for the scan kernels, row by
 row for scalar lookups), and the canonical quotient map from the
-natural numbers.  ``verify_laws`` checks every
+natural numbers.  The saturating rule is written once, in
+``SemiringCtx._cayley`` on codes: the scalar ``add`` and ``mul`` decode
+it on encoded operands, and ``tables()``, ``table_row`` and
+``table_rows()`` evaluate it on code arrays.  ``verify_laws`` checks every
 axiom exhaustively for one k and returns one ``LawReport`` per law.
 
 A deliberately wrong saturation rule can be injected through the
@@ -238,35 +241,11 @@ class SemiringCtx:
 
     def add(self, a: Elem, b: Elem) -> Elem:
         """Saturating sum."""
-        a = self.check(a)
-        b = self.check(b)
-        if a.kind == "zero":
-            return b
-        if b.kind == "zero":
-            return a
-        if a.kind == "many" or b.kind == "many":
-            return MANY
-        total = a.value + b.value
-        if total <= self.k:
-            return fin(total)
-        if self.mutant == "add-cap":
-            return fin(self.k)
-        return MANY
+        return self.decode(self._cayley("add", self.encode(a), self.encode(b)))
 
     def mul(self, a: Elem, b: Elem) -> Elem:
         """Saturating product."""
-        a = self.check(a)
-        b = self.check(b)
-        if a.kind == "zero" or b.kind == "zero":
-            return ZERO
-        if a.kind == "many" or b.kind == "many":
-            return MANY
-        prod = a.value * b.value
-        if prod <= self.k:
-            return fin(prod)
-        if self.mutant == "mul-cap":
-            return fin(self.k)
-        return MANY
+        return self.decode(self._cayley("mul", self.encode(a), self.encode(b)))
 
     def leq(self, a: Elem, b: Elem) -> bool:
         """Total order 0 < 1 < ... < k < m."""
@@ -323,24 +302,24 @@ class SemiringCtx:
         raise ValueError(f"code {c} out of range for order k={self.k}")
 
     def _cayley(self, op: str, a, b):
-        """Codes of a + b (``op`` "add") or a * b ("mul") for broadcast code
-        arrays a and b: the rule of ``add``/``mul``, mutant included, on codes."""
+        """Codes of a + b (``op`` "add") or a * b ("mul") for codes a and b,
+        Python ints (exact at any k) or broadcast numpy arrays.
+
+        This is the saturating rule, and the only place the mutant acts: a
+        result past k becomes m, or k under the ``op`` cap mutant when both
+        operands are below m.
+        """
         k, many = self.k, self.k + 1
-        finite = (a > 0) & (a < many) & (b > 0) & (b < many)
-        if op == "add":
-            raw = a + b
-            other = np.where(a == 0, b, np.where(b == 0, a, many))
-        else:
-            raw = a * b
-            other = np.where((a == 0) | (b == 0), 0, many)
+        raw = a + b if op == "add" else a * b
         cap = k if self.mutant == f"{op}-cap" else many
-        return np.where(finite, np.where(raw <= k, raw, cap), other)
+        limit = many + (cap - many) * ((a < many) & (b < many))
+        return raw + (raw > k) * (limit - raw)
 
     def tables(self):
         """Dense Cayley tables (add, mul) over element codes, built once.
 
-        Any injected mutant rule flows into the tables, which apply the
-        same saturating rule as the scalar operations.
+        Any injected mutant rule flows into the tables through ``_cayley``,
+        the rule the scalar operations decode.
         """
         if self._tables is None:
             codes = np.arange(self.size, dtype=np.int64)

@@ -4,9 +4,10 @@ The Indigenous graph of order k lives on the nonzero elements
 {1, ..., k, m}; two distinct vertices are joined exactly when their
 product saturates to m.  Adjacency is read off the multiplication rule
 (``ctx._cayley``), so any arithmetic change (including an injected
-mutant) propagates here, and a rule whose row and column disagree on an
-edge is refused.  Elements appear only in vertex queries, edge lists and
-JSON views.
+mutant) propagates here.  A rule whose row and column disagree on an
+edge, or whose graph does not peel, is an arithmetic fault, not a usage
+error: both raise ``RuntimeError``.  Elements appear only in vertex
+queries, edge lists and JSON views.
 
 Since u ~ v exactly when u * v > k, neighbourhoods are nested: the graph
 is a threshold graph (Chvatal and Hammer, 1977).  One peeling of
@@ -43,7 +44,7 @@ class IndigenousGraph:
             transposed = ctx._cayley("mul", codes, a) == many
             if not np.array_equal(saturated, transposed):
                 u, v = self.vertices[i], self.vertices[int(np.argmax(saturated != transposed))]
-                raise ValueError(
+                raise RuntimeError(
                     f"k={ctx.k}: {u.render()} * {v.render()} and {v.render()} * {u.render()} "
                     "disagree on saturation"
                 )
@@ -129,7 +130,7 @@ def _peel(g: IndigenousGraph) -> list:
             lo += 1
             kinds.append(False)
         else:
-            raise ValueError(f"k={g.k}: the graph is not a threshold graph")
+            raise RuntimeError(f"k={g.k}: the graph is not a threshold graph")
     return kinds
 
 

@@ -331,6 +331,26 @@ def _tables_isomorphic(add_a, mul_a, zero_a, one_a, add_b, mul_b, zero_b, one_b)
     return False
 
 
+def _is_entire(mul_table, zero: int) -> bool:
+    """No product of two nonzero entries of ``mul_table`` is ``zero``."""
+    return not any(
+        cell == zero
+        for i, row in enumerate(mul_table)
+        if i != zero
+        for j, cell in enumerate(row)
+        if j != zero
+    )
+
+
+def _is_zerosumfree(add_table, zero: int) -> bool:
+    """Only zero + zero is ``zero`` in ``add_table``."""
+    return all(
+        cell != zero or i == j == zero
+        for i, row in enumerate(add_table)
+        for j, cell in enumerate(row)
+    )
+
+
 def _class_table(results: np.ndarray, label: np.ndarray, firsts: np.ndarray) -> tuple:
     """Class table from the result class of every pair of pairs; ``label[i]``
     is the first pair of pair i's class, ``firsts`` the first pair of each."""
@@ -433,24 +453,10 @@ class LocalizedSemiring:
         return self.mul_table[i][j]
 
     def is_entire(self) -> bool:
-        z = self.zero_index
-        n = self.class_count
-        return not any(
-            self.mul_table[i][j] == z
-            for i in range(n)
-            if i != z
-            for j in range(n)
-            if j != z
-        )
+        return _is_entire(self.mul_table, self.zero_index)
 
     def is_zerosumfree(self) -> bool:
-        z = self.zero_index
-        n = self.class_count
-        for i in range(n):
-            for j in range(n):
-                if self.add_table[i][j] == z and (i != z or j != z):
-                    return False
-        return True
+        return _is_zerosumfree(self.add_table, self.zero_index)
 
     def is_boolean(self) -> bool:
         """Isomorphic to the two-element Boolean semiring (1 + 1 = 1)."""
@@ -555,22 +561,10 @@ class IdealSemiring:
         return all(self.add_table[i][i] == i for i in range(self.size))
 
     def is_zerosumfree(self) -> bool:
-        z = self.zero_index
-        for i in range(self.size):
-            for j in range(self.size):
-                if self.add_table[i][j] == z and (i != z or j != z):
-                    return False
-        return True
+        return _is_zerosumfree(self.add_table, self.zero_index)
 
     def is_entire(self) -> bool:
-        z = self.zero_index
-        return not any(
-            self.mul_table[i][j] == z
-            for i in range(self.size)
-            if i != z
-            for j in range(self.size)
-            if j != z
-        )
+        return _is_entire(self.mul_table, self.zero_index)
 
     def least_nonzero_absorbs(self) -> bool:
         """{0, m} times any nonzero ideal is {0, m} again."""

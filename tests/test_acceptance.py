@@ -12,6 +12,8 @@ import subprocess
 import sys
 import time
 
+from reference import ref_mul
+
 from indigo import graphs
 from indigo.core import MANY, ZERO, SemiringCtx, verify_laws
 from indigo.ideals import (
@@ -103,7 +105,7 @@ def multiplicative_subsets(c):
     pool = [e for e in c.nonzero_elements() if e != c.one]
     for bits in range(1 << len(pool)):
         subset = [c.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        if all(c.mul(u, v) in subset for u in subset for v in subset):
+        if all(ref_mul(c, u, v) in subset for u in subset for v in subset):
             yield subset
 
 

@@ -1,0 +1,108 @@
+"""The claim x fault matrix: every sweep claim against single-cell faults.
+
+A fault puts one wrong code in one cell of the add or mul rule at order
+K = 3 (``reference.cell_fault``); there are 200 of them.  Each claim's
+own check runs alone with k_max = 3, so the fault shows at its last k.
+This is mutation analysis of the sweep (DeMillo, Lipton and Sayward,
+"Hints on test data selection", 1978): a claim that no fault can fail
+checks nothing.
+"""
+
+import pytest
+from reference import cell_corruptions, cell_fault
+
+from indigo import checks
+from indigo.core import SemiringCtx
+
+K = 3
+
+# one fault that fails each claim, and the detail it fails with
+WITNESSES = {
+    "semiring-laws": (("add", 1, 1, 1), "k=3: law add-associative fails at (1, 1, 2)"),
+    "graph-diameter": (
+        ("mul", 2, 1, 4),
+        "error: k=3: 1 * 2 and 2 * 1 disagree on saturation",
+    ),
+    "graph-girth": (("mul", 1, 4, 1), "error: k=3: 1 * m and m * 1 disagree on saturation"),
+    "graph-clique": (("mul", 1, 4, 2), "error: k=3: 1 * m and m * 1 disagree on saturation"),
+    "graph-chromatic": (
+        ("mul", 3, 1, 4),
+        "error: k=3: 1 * 3 and 3 * 1 disagree on saturation",
+    ),
+    "ideal-lattice": (("mul", 3, 0, 1), "k=3: {0, m} is not an ideal"),
+    "ideal-primes": (("add", 0, 0, 3), "k=3: primes are ['{0, 2, 3, m}']"),
+    "ideal-austere": (("add", 0, 3, 0), "k=3: subtractivity of {0} is False"),
+    "ideal-radicals": (("mul", 4, 4, 0), "k=3: radical of {0} is wrong"),
+    "ideal-principal-primes": (("mul", 3, 2, 3), "k=3: nonzero principal prime exists = True"),
+    "ideal-maximal": (("add", 0, 4, 1), "k=3: maximality of {0} is True"),
+    "spectrum-sierpinski": (("mul", 2, 0, 1), "k=3: spectrum has 0 points and 1 closed sets"),
+    "localization": (
+        ("add", 0, 2, 0),
+        "k=3: fractions over {1} are not an information algebra",
+    ),
+    "ideal-semiring": (("mul", 3, 1, 2), "k=3: neutral elements broken at {0, 3, m}"),
+    "ideal-nilpotency": (("mul", 3, 3, 2), "k=3: nilpotency index 3 exceeds guarantee 2"),
+    "poly-units": (("add", 0, 1, 2), "k=3: unit status of 1 is wrong"),
+    "poly-idempotents": (("add", 0, 1, 4), "k=3: idempotency of 1 is wrong"),
+    "degree-morphism": (("mul", 3, 4, 0), "k=3: degree of product breaks at 3 X^2, m X^2"),
+    "window-idempotency": (
+        ("add", 4, 4, 1),
+        "k=3: idempotency tests disagree on 1 + m X^5 (window depth 5)",
+    ),
+    "quadratic-irreducibility": (
+        ("add", 0, 2, 1),
+        "k=3: closed form and oracle disagree at alpha=1, beta=1",
+    ),
+}
+
+# how many of the 200 faults fail each claim
+FAILURE_COUNTS = {
+    "semiring-laws": 200,
+    "graph-diameter": 36,
+    "graph-girth": 36,
+    "graph-clique": 36,
+    "graph-chromatic": 36,
+    "ideal-lattice": 42,
+    "ideal-primes": 75,
+    "ideal-austere": 4,
+    "ideal-radicals": 33,
+    "ideal-principal-primes": 52,
+    "ideal-maximal": 30,
+    "spectrum-sierpinski": 73,
+    "localization": 102,
+    "ideal-semiring": 103,
+    "ideal-nilpotency": 59,
+    "poly-units": 29,
+    "poly-idempotents": 18,
+    "degree-morphism": 40,
+    "window-idempotency": 35,
+    "quadratic-irreducibility": 58,
+}
+
+
+def run_claim(name, fn):
+    return checks._claim(name, "", lambda: fn(K, None, False))
+
+
+def test_every_claim_is_failed_by_its_witness_fault(monkeypatch):
+    assert list(WITNESSES) == [name for name, _, _ in checks._CHECKS]
+    assert all(c.passed for c in checks.run_all_checks(K))
+    for name, _, fn in checks._CHECKS:
+        cell, detail = WITNESSES[name]
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        claim = run_claim(name, fn)
+        assert (claim.passed, claim.detail) == (False, detail), name
+
+
+@pytest.mark.slow
+def test_claim_fault_matrix_counts(monkeypatch):
+    assert list(FAILURE_COUNTS) == [name for name, _, _ in checks._CHECKS]
+    counts = dict.fromkeys(FAILURE_COUNTS, 0)
+    faults = 0
+    for cell in cell_corruptions(K):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        faults += 1
+        for name, _, fn in checks._CHECKS:
+            counts[name] += not run_claim(name, fn).passed
+    assert faults == 200
+    assert counts == FAILURE_COUNTS

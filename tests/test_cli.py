@@ -3,6 +3,7 @@ import io
 import json
 import os
 import resource
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import cell_fault
 
 import indigo
 from indigo import checks, cli, graphs, ideals
@@ -198,6 +200,17 @@ def test_graph_bound_is_checked_before_distance_searches(capsys, monkeypatch):
         assert report["error"] == "exact chromatic search is bounded at k <= 24, got k=25"
     code, _, _ = run_cli(capsys, "graph", "25", "--diameter")
     assert code == EXIT_OK
+
+
+def test_graph_arithmetic_fault_is_an_internal_error(capsys, monkeypatch):
+    # a one-sided fault in the rule is indigo's fault, not the user's: exit 4, not 2
+    monkeypatch.setattr(indigo.SemiringCtx, "_cayley", cell_fault("mul", 2, 3, 3))
+    for argv in (("graph", "3"), ("graph", "3", "--json")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (EXIT_INTERNAL, "")
+        assert err == (
+            "error: internal: RuntimeError: k=3: 2 * 3 and 3 * 2 disagree on saturation\n"
+        )
 
 
 # --- ideals, spectrum, localization ------------------------------------------
@@ -473,6 +486,29 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert err == "error: internal: RecursionError: maximum recursion depth exceeded\n"
     assert "Traceback" not in err
     assert "status:" not in out
+
+
+def readme_commands():
+    """The ``indigo ...`` lines of the fenced sh block under README's
+    "Command line" heading, as argv lists without the program name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("indigo ")
+    ]
+
+
+def test_readme_command_line_examples_run(capsys):
+    commands = readme_commands()
+    assert len(commands) == 12
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, err) == (EXIT_OK, ""), argv
+        if argv == ["elem", "3", "--add", "2", "2"]:
+            assert "result: m\n" in out  # as its comment says
 
 
 # element tokens, lists, polynomial texts and junk for the string options

@@ -1,9 +1,14 @@
+import ast
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import cell_fault, ref_add, ref_mul
 
-from indigo import checks
+from indigo import cli, graphs
 from indigo.core import (
     LAW_CHECK_BOUND,
     MANY,
@@ -152,8 +157,8 @@ def test_tables_match_scalar_ops():
                 assert all(type(x) is int for x in add[i] + mul[i])
                 assert add[i] is c.table_rows()[0][i]
                 for j, b in enumerate(elems):
-                    assert c.decode(int(add_t[i, j])) == c.add(a, b)
-                    assert c.decode(int(mul_t[i, j])) == c.mul(a, b)
+                    assert c.decode(int(add_t[i, j])) == ref_add(c, a, b)
+                    assert c.decode(int(mul_t[i, j])) == ref_mul(c, a, b)
             assert not add_t.flags.writeable
 
 
@@ -166,8 +171,8 @@ def test_table_rows_at_large_k_skip_the_dense_tables(monkeypatch):
         elems = c.elements()
         for a in (0, 1, 2, 317, 50_000, 99_999, 100_000, 100_001):
             for b in (0, 1, 3, 316, 49_999, 50_001, 100_000, 100_001):
-                assert add[a][b] == c.encode(c.add(elems[a], elems[b]))
-                assert mul[a][b] == c.encode(c.mul(elems[a], elems[b]))
+                assert add[a][b] == c.encode(ref_add(c, elems[a], elems[b]))
+                assert mul[a][b] == c.encode(ref_mul(c, elems[a], elems[b]))
     with pytest.raises(ValueError):
         c.table_row("mul", c.size)
     with pytest.raises(ValueError):
@@ -176,21 +181,96 @@ def test_table_rows_at_large_k_skip_the_dense_tables(monkeypatch):
         iter(add)
 
 
-def test_sweep_computes_only_through_the_tables(monkeypatch):
-    """Nothing in the sweep calls the scalar ``add`` or ``mul``: the Cayley
-    tables are its only arithmetic.  k_max = 3 runs every claim, and every
-    first counterexample under both mutants lies at k <= 3."""
-    contexts = (None, "add-cap", "mul-cap")
-    expected = {m: checks.run_all_checks(3, mutant=m) for m in contexts}
-    assert all(any(not c.passed for c in expected[m]) for m in contexts[1:])
+def test_scalar_ops_match_the_reference_at_large_k():
+    """The rule is exact on Python ints at any k: no overflow, no float."""
+    for k in (2**62, 10**20):
+        for mutant in (None, "add-cap", "mul-cap"):
+            c = ctx(k, mutant)
+            big = (1, 2, 3, 99_999_999_999, 2**31, 2**32 + 1, k // 2, k // 2 + 1, k - 1, k)
+            elems = [ZERO, MANY, *(fin(n) for n in big)]
+            for a in elems:
+                assert c.is_idempotent(a) == (ref_mul(c, a, a) == a)
+                for b in elems:
+                    assert c.add(a, b) == ref_add(c, a, b), (k, mutant, a, b)
+                    assert c.mul(a, b) == ref_mul(c, a, b), (k, mutant, a, b)
 
-    def forbidden(self, a, b):
-        raise AssertionError("the sweep called scalar add/mul")
 
-    monkeypatch.setattr(SemiringCtx, "add", forbidden)
-    monkeypatch.setattr(SemiringCtx, "mul", forbidden)
-    for mutant in contexts:
-        assert checks.run_all_checks(3, mutant=mutant) == expected[mutant]
+@pytest.mark.parametrize("i, j, wrong", [(2, 3, 3), (2, 2, 2)])
+def test_a_rule_fault_reaches_every_arithmetic_path(monkeypatch, capsys, i, j, wrong):
+    """One wrong cell of the mul rule, installed in ``_cayley``, is what every
+    arithmetic path computes: off the diagonal it shows in products, tables,
+    rows, the graph and the CLI; on it, in idempotency and powers."""
+    want = ctx(3).tables()[1].tolist()
+    want[i][j] = wrong
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("mul", i, j, wrong))
+    c = ctx(3)
+    elems = c.elements()
+    assert c.tables()[1].tolist() == want
+    assert [list(c.table_rows()[1][a]) for a in range(c.size)] == want
+    assert [c.table_row("mul", a).tolist() for a in range(c.size)] == want
+    for a, x in enumerate(elems):
+        assert c.is_idempotent(x) == (want[a][a] == a)
+        power = a
+        for n in range(1, 5):
+            assert c.encode(c.power(x, n)) == power
+            power = want[power][a]
+        for b, y in enumerate(elems):
+            assert c.encode(c.mul(x, y)) == want[a][b]
+            assert cli.main(["elem", "3", "--mul", x.render(), y.render()]) == 0
+            assert f"result: {elems[want[a][b]].render()}\n" in capsys.readouterr().out
+    if i == j:
+        assert c.is_idempotent(fin(2)) and c.power(fin(2), 3) == fin(2)
+        g = graphs.build_graph(3)
+        for u, v in combinations(range(1, c.size), 2):
+            assert g.adjacent(elems[u], elems[v]) == (want[u][v] == c.size - 1)
+    else:
+        assert c.mul(fin(2), fin(3)) == fin(3) != c.mul(fin(3), fin(2))
+        with pytest.raises(RuntimeError, match=r"k=3: 2 \* 3 and 3 \* 2 disagree on saturation"):
+            graphs.build_graph(3)
+
+
+def _mentions_mutant(node):
+    return isinstance(node, ast.Attribute) and node.attr == "mutant" or (
+        isinstance(node, ast.Name) and node.id == "mutant"
+    )
+
+
+def test_only_the_rule_reads_the_mutant():
+    """The mutant switch is stated once: outside ``SemiringCtx._cayley`` no
+    code in the package compares a mutant with a name, and no code but the
+    tuple of valid names spells a ``-cap`` name."""
+    readers = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        rule = [
+            range(node.lineno, node.end_lineno + 1)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.FunctionDef) and node.name == "_cayley"
+        ]
+        skip = set()  # docstrings and the tuple of valid names
+        for node in ast.walk(tree):
+            body = getattr(node, "body", None)
+            if isinstance(body, list) and body and isinstance(body[0], ast.Expr):
+                skip.add(id(body[0].value))
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_MUTANT_NAMES":
+                skip.update(id(n) for n in ast.walk(node.value))
+        for node in ast.walk(tree):
+            spells = (
+                isinstance(node, ast.Constant)
+                and isinstance(node.value, str)
+                and "-cap" in node.value
+                and id(node) not in skip
+            )
+            sides = [node.left, *node.comparators] if isinstance(node, ast.Compare) else []
+            compares = any(map(_mentions_mutant, sides)) and any(
+                isinstance(side, ast.JoinedStr)
+                or isinstance(side, ast.Constant) and isinstance(side.value, str)
+                for side in sides
+            )
+            if compares or spells:
+                readers.append((path.name, node.lineno, any(node.lineno in r for r in rule)))
+    # the comparison in the rule, and the "-cap" it spells, are the only readers
+    assert {(name, inside) for name, _, inside in readers} == {("core.py", True)}
 
 
 def test_all_laws_hold_sample():

@@ -3,6 +3,7 @@ import functools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ref_add, ref_mul
 
 from indigo import checks, ideals
 from indigo.core import MANY, ZERO, BoundExceededError, SemiringCtx, fin
@@ -54,9 +55,9 @@ def brute_force_ideals(c):
         subset = frozenset(elems[i] for i in range(n) if bits >> i & 1)
         if ZERO not in subset:
             continue
-        if not all(c.add(a, b) in subset for a in subset for b in subset):
+        if not all(ref_add(c, a, b) in subset for a in subset for b in subset):
             continue
-        if not all(c.mul(s, a) in subset for s in elems for a in subset):
+        if not all(ref_mul(c, s, a) in subset for s in elems for a in subset):
             continue
         found.add(bits)
     return found
@@ -234,7 +235,7 @@ def test_subtractivity_failure_witness():
     # 2 + 3 = m lies in {0, m} but 3 does not
     c = ctx(4)
     small = Ideal(c, mask(c, 0, "m"))
-    assert c.add(fin(2), fin(3)) == MANY
+    assert ref_add(c, fin(2), fin(3)) == MANY
     assert not is_subtractive(c, small)
 
 
@@ -286,7 +287,7 @@ def multiplicative_subsets(c):
     pool = [e for e in c.nonzero_elements() if e != c.one]
     for bits in range(1 << len(pool)):
         subset = [c.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        if all(c.mul(u, v) in subset for u in subset for v in subset):
+        if all(ref_mul(c, u, v) in subset for u in subset for v in subset):
             yield subset
 
 
@@ -351,8 +352,8 @@ def test_localization_map_is_a_homomorphism():
             img = {e: loc.class_of(e, c.one) for e in c.elements()}
             for a in c.elements():
                 for b in c.elements():
-                    assert loc.add_class(img[a], img[b]) == img[c.add(a, b)]
-                    assert loc.mul_class(img[a], img[b]) == img[c.mul(a, b)]
+                    assert loc.add_class(img[a], img[b]) == img[ref_add(c, a, b)]
+                    assert loc.mul_class(img[a], img[b]) == img[ref_mul(c, a, b)]
 
 
 def test_localization_collapse_by_m_over_m():
@@ -381,6 +382,28 @@ def test_ideal_sum_and_product_basics():
     assert ideal_sum(small, principal2).members == members(0, 2, "m")
     with pytest.raises(ValueError):
         ideal_sum(small, Ideal(ctx(3), mask(ctx(3), 0, "m")))
+
+
+def with_cell(table, i, j, value):
+    return tuple(
+        tuple(value if (r, c) == (i, j) else x for c, x in enumerate(row))
+        for r, row in enumerate(table)
+    )
+
+
+def test_entire_and_zerosumfree_find_a_single_witness():
+    # both structures share the two checks; one planted cell must flip each
+    for s in (ideal_semiring(ctx(3)), localize(ctx(3), [fin(1)])):
+        z = s.zero_index
+        assert s.is_entire() and s.is_zerosumfree()
+        others = [i for i in range(len(s.add_table)) if i != z]
+        a, b = others[0], others[-1]
+        clean = s.add_table, s.mul_table
+        s.mul_table = with_cell(clean[1], a, b, z)
+        assert not s.is_entire() and s.is_zerosumfree()
+        s.mul_table = clean[1]
+        s.add_table = with_cell(clean[0], a, b, z)
+        assert s.is_entire() and not s.is_zerosumfree()
 
 
 def test_ideal_semiring_properties():
@@ -509,13 +532,13 @@ def test_property_generated_ideals_absorb(k, data):
         assert g in ideal.members
     for s in pool:
         for a in ideal.members:
-            assert c.mul(s, a) in ideal.members
+            assert ref_mul(c, s, a) in ideal.members
 
 
 # --- scalar oracles -----------------------------------------------------------
 # Reference versions of the ideal layer, written from the definitions on
-# plain Elem values with ctx.add and ctx.mul; the library computes on code
-# masks through the Cayley tables.
+# plain Elem values with the reference ref_add and ref_mul; the library
+# computes on code masks through the Cayley tables.
 
 
 def elem_mask(c, elems):
@@ -528,8 +551,8 @@ def ref_close(c, seed):
     while True:
         grown = (
             out
-            | {c.add(a, b) for a in out for b in out}
-            | {c.mul(s, a) for s in c.elements() for a in out}
+            | {ref_add(c, a, b) for a in out for b in out}
+            | {ref_mul(c, s, a) for s in c.elements() for a in out}
         )
         if grown == out:
             return frozenset(out)
@@ -538,18 +561,23 @@ def ref_close(c, seed):
 
 def ref_prime(c, inside):
     outside = [e for e in c.elements() if e not in inside]
-    return bool(outside) and not any(c.mul(a, b) in inside for a in outside for b in outside)
+    return bool(outside) and not any(ref_mul(c, a, b) in inside for a in outside for b in outside)
 
 
 def ref_subtractive(c, inside):
-    return all(b in inside for a in inside for b in c.elements() if c.add(a, b) in inside)
+    return all(b in inside for a in inside for b in c.elements() if ref_add(c, a, b) in inside)
+
+
+def ref_powers(c, a):
+    """a, a^2, ..., a^size: the powers repeat within c.size steps, so these are all of them."""
+    out = [a]
+    while len(out) < c.size:
+        out.append(ref_mul(c, out[-1], a))
+    return out
 
 
 def ref_radical(c, inside):
-    # the powers of a repeat within c.size steps, so these are all of them
-    return frozenset(
-        a for a in c.elements() if any(c.power(a, n) in inside for n in range(1, c.size + 1))
-    )
+    return frozenset(a for a in c.elements() if any(p in inside for p in ref_powers(c, a)))
 
 
 def ref_maximal(c, inside, lattice):
@@ -577,7 +605,7 @@ def test_ideal_layer_matches_scalar_oracles(k, mutant):
                 radical(c, i)
         for j in lattice:
             assert ideal_sum(i, j).members == ref_close(c, inside | j.members)
-            products = {c.mul(x, y) for x in inside for y in j.members}
+            products = {ref_mul(c, x, y) for x in inside for y in j.members}
             assert ideal_product(i, j).members == ref_close(c, products)
 
 
@@ -596,8 +624,8 @@ def ref_fractions(c, units):
 
     def related(p, q):
         (a, u), (b, v) = p, q
-        left, right = c.mul(a, v), c.mul(b, u)
-        return any(c.mul(t, left) == c.mul(t, right) for t in units)
+        left, right = ref_mul(c, a, v), ref_mul(c, b, u)
+        return any(ref_mul(c, t, left) == ref_mul(c, t, right) for t in units)
 
     classes = []
     for p in [(a, u) for a in c.elements() for u in units]:
@@ -607,11 +635,11 @@ def ref_fractions(c, units):
 
     def add(p, q):
         (a, u), (b, v) = p, q
-        return (c.add(c.mul(a, v), c.mul(b, u)), c.mul(u, v))
+        return (ref_add(c, ref_mul(c, a, v), ref_mul(c, b, u)), ref_mul(c, u, v))
 
     def mul(p, q):
         (a, u), (b, v) = p, q
-        return (c.mul(a, b), c.mul(u, v))
+        return (ref_mul(c, a, b), ref_mul(c, u, v))
 
     tables = []
     for op in (add, mul):

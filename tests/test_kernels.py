@@ -13,6 +13,7 @@ tables.
 
 import numpy as np
 import pytest
+from reference import cell_corruptions, cell_fault, ref_add, ref_mul
 
 from indigo import kernels
 from indigo.core import ZERO, SemiringCtx
@@ -203,8 +204,8 @@ def brute_force_ideal_masks(k, mutant=None):
         subset = {elems[i] for i in range(n) if bits >> i & 1}
         if ZERO not in subset:
             continue
-        closed = all(ctx.add(a, b) in subset for a in subset for b in subset)
-        absorbing = all(ctx.mul(s, a) in subset for s in elems for a in subset)
+        closed = all(ref_add(ctx, a, b) in subset for a in subset for b in subset)
+        absorbing = all(ref_mul(ctx, s, a) in subset for s in elems for a in subset)
         if closed and absorbing:
             out.append(bits)
     return out
@@ -258,31 +259,17 @@ def test_next_closure_matches_scan_oracle_under_every_cell_corruption(monkeypatc
     # the corruption goes in through the rule itself, so the dense tables
     # and the rows the closure reads both see it
     k = 3
-    clean_rule = SemiringCtx._cayley
-    clean = SemiringCtx(k).tables()
     clean_masks = enumerated_masks(SemiringCtx(k))
     corruptions = changed = 0
-    for which, op in enumerate(("add", "mul")):
-        for i, j in np.ndindex(clean[which].shape):
-            for wrong in range(k + 2):
-                if wrong == clean[which][i, j]:
-                    continue
-
-                def rule(self, rule_op, a, b, op=op, i=i, j=j, wrong=wrong):
-                    codes = np.arange(self.size)
-                    table = clean_rule(self, rule_op, codes[:, None], codes)
-                    if rule_op == op:
-                        table[i, j] = wrong
-                    return table[a, b]
-
-                monkeypatch.setattr(SemiringCtx, "_cayley", rule)
-                ctx = SemiringCtx(k)
-                assert ctx.tables()[which][i, j] == wrong
-                want = all_ideal_masks(*ctx.tables()).tolist()
-                got = enumerated_masks(ctx)
-                assert got == want, (op, i, j, wrong)
-                corruptions += 1
-                changed += got != clean_masks
+    for op, i, j, wrong in cell_corruptions(k):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(op, i, j, wrong, k))
+        ctx = SemiringCtx(k)
+        assert ctx.tables()[("add", "mul").index(op)][i, j] == wrong
+        want = all_ideal_masks(*ctx.tables()).tolist()
+        got = enumerated_masks(ctx)
+        assert got == want, (op, i, j, wrong)
+        corruptions += 1
+        changed += got != clean_masks
     assert corruptions == 200
     assert changed > 0  # the corruptions reach the lattice
 

@@ -3,6 +3,7 @@ import itertools
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import ref_add, ref_mul
 
 from indigo.core import (
     MANY,
@@ -51,15 +52,16 @@ CONTEXTS = [(k, mutant) for k in range(1, 5) for mutant in (None, "add-cap", "mu
 
 
 # --- scalar reference arithmetic ---------------------------------------------
-# Plain-Elem sums and products of coefficient tuples through ctx.add and
-# ctx.mul, independent of the Cayley tables and the shared convolution.
+# Plain-Elem sums and products of coefficient tuples through the reference
+# ref_add and ref_mul, independent of the Cayley tables and the shared
+# convolution.
 
 
 def ref_sum(ctx, f, g):
     n = max(len(f), len(g))
     f = tuple(f) + (ZERO,) * (n - len(f))
     g = tuple(g) + (ZERO,) * (n - len(g))
-    return tuple(ctx.add(a, b) for a, b in zip(f, g))
+    return tuple(ref_add(ctx, a, b) for a, b in zip(f, g))
 
 
 def ref_product(ctx, f, g, n):
@@ -68,7 +70,7 @@ def ref_product(ctx, f, g, n):
     for i, a in enumerate(f):
         for j, b in enumerate(g):
             if i + j < n:
-                out[i + j] = ctx.add(out[i + j], ctx.mul(a, b))
+                out[i + j] = ref_add(ctx, out[i + j], ref_mul(ctx, a, b))
     return tuple(out)
 
 
