@@ -1,20 +1,31 @@
 """Theorem sweep backing the verify-all subcommand.
 
-Each check re-verifies one structural property over a k range, capped
-at the module's own exhaustive-search bound unless ``unsafe`` lifts it.
+Each claim is a predicate on the semiring of one order k: it returns a
+problem text, or ``None`` when the property holds at that k.
+``_CHECKS`` lists every claim as ``(name, tag, predicate, bound, cap)``.
+``bound`` is the exhaustive-search bound of the library call behind the
+claim, which ``unsafe`` lifts; ``cap`` is a fixed sweep size that is
+never lifted; ``None`` means neither.  One rule decides what a claim
+covers: k = 1..min(k_max, cap, bound unless unsafe).  Every k a
+predicate sees is thus inside its bound, so predicates call the library
+unbounded (``max_k=None``).
+
+``run_all_checks`` builds one ``SemiringCtx`` per k, shared by every
+claim, and reports a claim's first problem as ``k=K: <problem>``.
 Checks never raise: an exception while computing is itself a failure,
-reported in the claim detail, so a corrupted arithmetic rule cannot
+reported as ``error: <message>``, so a corrupted arithmetic rule cannot
 crash the sweep.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 from typing import Callable, Optional
 
 from . import graphs, ideals, series
-from .core import LAW_CHECK_BOUND, MANY, ZERO, SemiringCtx, bound_limit, fin, verify_laws
+from .core import LAW_CHECK_BOUND, MANY, ZERO, SemiringCtx, fin, verify_laws
 
 # window sweep is cubic in window count; depth 5 keeps verify-all snappy
 _SWEEP_WINDOW_DEPTH = 5
@@ -34,189 +45,125 @@ class Claim:
         return {"name": self.name, "tag": self.tag, "passed": self.passed, "detail": self.detail}
 
 
-def _claim(name: str, tag: str, fn: Callable[[], Optional[str]]) -> Claim:
-    try:
-        problem = fn()
-    except Exception as exc:  # a crash while checking is a failure, not an abort
-        return Claim(name, tag, False, f"error: {exc}")
-    if problem is None:
-        return Claim(name, tag, True, "")
-    return Claim(name, tag, False, problem)
+def _maximal(ctx: SemiringCtx) -> frozenset:
+    """Members of the maximal ideal: every element but 1."""
+    return frozenset(e for e in ctx.elements() if e != ctx.one)
 
 
-def _ctx(k: int, mutant: Optional[str]) -> SemiringCtx:
-    return SemiringCtx(k, mutant=mutant)
-
-
-def _bounded(k_max: int, bound: int, unsafe: bool) -> tuple:
-    """The k range a check covers (1..k_max, cut at ``bound`` unless
-    ``unsafe``) and the ``max_k`` it passes on to bounded searches."""
-    limit = bound_limit(bound, unsafe)
-    top = k_max if limit is None else min(k_max, limit)
-    return range(1, top + 1), limit
-
-
-def _check_laws(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, LAW_CHECK_BOUND, unsafe)
-    for k in ks:
-        for report in verify_laws(_ctx(k, mutant), max_k=limit):
-            if not report.holds:
-                ce = report.counterexample
-                shown = ", ".join(
-                    x.render() if hasattr(x, "render") else str(x) for x in ce
-                )
-                return f"k={k}: law {report.law} fails at ({shown})"
+def _laws(ctx: SemiringCtx) -> Optional[str]:
+    for report in verify_laws(ctx, max_k=None):
+        if not report.holds:
+            return f"law {report.law} fails at ({report.render_counterexample()})"
     return None
 
 
-def _check_graph_diameter(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, k_max + 1):
-        g = graphs.build_graph(k, mutant=mutant)
-        got = graphs.diameter(g)
-        want = 1 if k == 1 else 2
-        if got != want:
-            return f"k={k}: diameter {got}, expected {want}"
+def _graph_diameter(ctx: SemiringCtx) -> Optional[str]:
+    got = graphs.diameter(graphs.IndigenousGraph(ctx))
+    want = 1 if ctx.k == 1 else 2
+    if got != want:
+        return f"diameter {got}, expected {want}"
     return None
 
 
-def _check_graph_girth(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, k_max + 1):
-        g = graphs.build_graph(k, mutant=mutant)
-        got = graphs.girth(g)
-        want = graphs.INFINITE if k <= 2 else 3
-        if got != want:
-            return f"k={k}: girth {got}, expected {want}"
+def _graph_girth(ctx: SemiringCtx) -> Optional[str]:
+    got = graphs.girth(graphs.IndigenousGraph(ctx))
+    want = graphs.INFINITE if ctx.k <= 2 else 3
+    if got != want:
+        return f"girth {got}, expected {want}"
     return None
 
 
-def _check_graph_clique(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, graphs.EXACT_SEARCH_BOUND, unsafe)
-    for k in ks:
-        g = graphs.build_graph(k, mutant=mutant)
-        omega = graphs.clique_number(g, max_k=limit)
-        # m and the run s..k, with s the least s where s * (s + 1) > k
-        s = 1
-        while s * (s + 1) <= k:
-            s += 1
-        if omega != k - s + 2:
-            return f"k={k}: clique number {omega}, expected {k - s + 2}"
-        if k >= 5:
-            witness = [fin(i) for i in range(k - k // 2, k + 1)] + [MANY]
-            for i, u in enumerate(witness):
-                for v in witness[i + 1 :]:
-                    if not g.adjacent(u, v):
-                        return f"k={k}: witness clique broken at {u.render()}, {v.render()}"
+def _graph_clique(ctx: SemiringCtx) -> Optional[str]:
+    k = ctx.k
+    g = graphs.IndigenousGraph(ctx)
+    omega = graphs.clique_number(g, max_k=None)
+    # m and the run s..k, with s the least s where s * (s + 1) > k
+    s = 1
+    while s * (s + 1) <= k:
+        s += 1
+    if omega != k - s + 2:
+        return f"clique number {omega}, expected {k - s + 2}"
+    if k >= 5:
+        witness = [fin(i) for i in range(k - k // 2, k + 1)] + [MANY]
+        for i, u in enumerate(witness):
+            for v in witness[i + 1 :]:
+                if not g.adjacent(u, v):
+                    return f"witness clique broken at {u.render()}, {v.render()}"
     return None
 
 
-def _check_graph_chromatic(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, graphs.EXACT_SEARCH_BOUND, unsafe)
-    for k in ks:
-        g = graphs.build_graph(k, mutant=mutant)
-        omega = graphs.clique_number(g, max_k=limit)
-        chi = graphs.chromatic_number(g, max_k=limit)
-        if chi != omega:
-            return f"k={k}: chromatic number {chi}, clique number {omega}"
+def _graph_chromatic(ctx: SemiringCtx) -> Optional[str]:
+    g = graphs.IndigenousGraph(ctx)
+    omega = graphs.clique_number(g, max_k=None)
+    chi = graphs.chromatic_number(g, max_k=None)
+    if chi != omega:
+        return f"chromatic number {chi}, clique number {omega}"
     return None
 
 
-def _check_ideal_lattice(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        lattice = ideals.enumerate_ideals(ctx, max_k=limit)
-        smallest = frozenset((ZERO, MANY))
-        if smallest not in {i.members for i in lattice}:
-            return f"k={k}: {{0, m}} is not an ideal"
-        for ideal in lattice:
-            if not ideal.is_zero:
-                if MANY not in ideal.members:
-                    return f"k={k}: nonzero ideal {ideal.render()} misses m"
-                if not smallest <= ideal.members:
-                    return f"k={k}: {ideal.render()} does not contain {{0, m}}"
+def _ideal_lattice(ctx: SemiringCtx) -> Optional[str]:
+    lattice = ideals.enumerate_ideals(ctx, max_k=None)
+    smallest = frozenset((ZERO, MANY))
+    if smallest not in {i.members for i in lattice}:
+        return "{0, m} is not an ideal"
+    for ideal in lattice:
+        if not ideal.is_zero:
+            if MANY not in ideal.members:
+                return f"nonzero ideal {ideal.render()} misses m"
+            if not smallest <= ideal.members:
+                return f"{ideal.render()} does not contain {{0, m}}"
     return None
 
 
-def _check_ideal_primes(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        lattice = ideals.enumerate_ideals(ctx, max_k=limit)
-        primes = [i for i in lattice if ideals.is_prime(ctx, i)]
-        zero_ideal = frozenset((ZERO,))
-        maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
-        want = {zero_ideal, maximal}
-        got = {p.members for p in primes}
-        if got != want:
-            return f"k={k}: primes are {sorted(p.render() for p in primes)}"
+def _ideal_primes(ctx: SemiringCtx) -> Optional[str]:
+    primes = [i for i in ideals.enumerate_ideals(ctx, max_k=None) if ideals.is_prime(ctx, i)]
+    if {p.members for p in primes} != {frozenset((ZERO,)), _maximal(ctx)}:
+        return f"primes are {sorted(p.render() for p in primes)}"
     return None
 
 
-def _check_ideal_austere(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
-            want = ideal.is_zero or ideal.is_whole
-            if ideals.is_subtractive(ctx, ideal) != want:
-                return f"k={k}: subtractivity of {ideal.render()} is {not want}"
+def _ideal_austere(ctx: SemiringCtx) -> Optional[str]:
+    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+        want = ideal.is_zero or ideal.is_whole
+        if ideals.is_subtractive(ctx, ideal) != want:
+            return f"subtractivity of {ideal.render()} is {not want}"
     return None
 
 
-def _check_ideal_radicals(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
-        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
-            rad = ideals.radical(ctx, ideal).members
-            if ideal.is_zero:
-                want = ideal.members
-            elif ideal.is_whole:
-                want = ideal.members
-            else:
-                want = maximal
-            if rad != want:
-                return f"k={k}: radical of {ideal.render()} is wrong"
+def _ideal_radicals(ctx: SemiringCtx) -> Optional[str]:
+    maximal = _maximal(ctx)
+    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+        want = ideal.members if ideal.is_zero or ideal.is_whole else maximal
+        if ideals.radical(ctx, ideal).members != want:
+            return f"radical of {ideal.render()} is wrong"
     return None
 
 
-def _check_ideal_principal_primes(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, _ = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        found = False
-        for a in ctx.nonzero_elements():
-            principal = ideals.ideal_generated(ctx, [a])
-            if not principal.is_zero and ideals.is_prime(ctx, principal):
-                found = True
-                break
-        if found != (k <= 2):
-            return f"k={k}: nonzero principal prime exists = {found}"
+def _ideal_principal_primes(ctx: SemiringCtx) -> Optional[str]:
+    found = False
+    for a in ctx.nonzero_elements():
+        principal = ideals.ideal_generated(ctx, [a])
+        if not principal.is_zero and ideals.is_prime(ctx, principal):
+            found = True
+            break
+    if found != (ctx.k <= 2):
+        return f"nonzero principal prime exists = {found}"
     return None
 
 
-def _check_ideal_maximal(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        maximal = frozenset(e for e in ctx.elements() if e != ctx.one)
-        for ideal in ideals.enumerate_ideals(ctx, max_k=limit):
-            want = ideal.members == maximal
-            if ideals.is_maximal(ctx, ideal) != want:
-                return f"k={k}: maximality of {ideal.render()} is {not want}"
+def _ideal_maximal(ctx: SemiringCtx) -> Optional[str]:
+    maximal = _maximal(ctx)
+    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+        want = ideal.members == maximal
+        if ideals.is_maximal(ctx, ideal) != want:
+            return f"maximality of {ideal.render()} is {not want}"
     return None
 
 
-def _check_spectrum(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        view = ideals.spectrum(_ctx(k, mutant), max_k=limit)
-        if not view.is_sierpinski:
-            return (
-                f"k={k}: spectrum has {len(view.points)} points and "
-                f"{len(view.closed_sets)} closed sets"
-            )
+def _spectrum(ctx: SemiringCtx) -> Optional[str]:
+    view = ideals.spectrum(ctx, max_k=None)
+    if not view.is_sierpinski:
+        return f"spectrum has {len(view.points)} points and {len(view.closed_sets)} closed sets"
     return None
 
 
@@ -232,170 +179,162 @@ def _multiplicative_subsets(ctx: SemiringCtx):
             yield [elems[c] for c in codes]
 
 
-def _check_localization(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, _ = _bounded(k_max, _LOCALIZE_SWEEP_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        for subset in _multiplicative_subsets(ctx):
-            loc = ideals.localize(ctx, subset)
-            names = "{" + ", ".join(u.render() for u in subset) + "}"
-            if not loc.is_entire() or not loc.is_zerosumfree():
-                return f"k={k}: fractions over {names} are not an information algebra"
-            if any(u.kind == "fin" and u.value > 1 for u in subset):
-                if loc.class_count != 2 or not loc.is_boolean():
-                    return f"k={k}: fractions over {names} are not Boolean"
-            if len(subset) == 1 and not loc.matches_ambient():
-                return f"k={k}: fractions over {{1}} do not reproduce the semiring"
+def _localization(ctx: SemiringCtx) -> Optional[str]:
+    for subset in _multiplicative_subsets(ctx):
+        loc = ideals.localize(ctx, subset)
+        names = "{" + ", ".join(u.render() for u in subset) + "}"
+        if not loc.is_entire() or not loc.is_zerosumfree():
+            return f"fractions over {names} are not an information algebra"
+        if any(u.kind == "fin" and u.value > 1 for u in subset):
+            if loc.class_count != 2 or not loc.is_boolean():
+                return f"fractions over {names} are not Boolean"
+        if len(subset) == 1 and not loc.matches_ambient():
+            return "fractions over {1} do not reproduce the semiring"
     return None
 
 
-def _check_ideal_semiring(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        ids = ideals.ideal_semiring(_ctx(k, mutant), max_k=limit)
-        if not ids.is_additively_idempotent():
-            return f"k={k}: ideal sum is not idempotent"
-        if not ids.is_zerosumfree():
-            return f"k={k}: ideal semiring is not zerosumfree"
-        if not ids.is_entire():
-            return f"k={k}: ideal semiring has zero divisors"
-        if not ids.least_nonzero_absorbs():
-            return f"k={k}: {{0, m}} fails to absorb nonzero ideal products"
-        full = ids.one_index
-        zero = ids.zero_index
-        maximal_members = frozenset(e for e in ids.ctx.elements() if e != ids.ctx.one)
-        maximal_idx = next(
-            i for i, ideal in enumerate(ids.ideals) if ideal.members == maximal_members
-        )
-        for i, ideal in enumerate(ids.ideals):
-            if ids.add_table[i][zero] != i or ids.mul_table[i][full] != i:
-                return f"k={k}: neutral elements broken at {ideal.render()}"
-            if i != zero and i != full:
-                if not ideal.issubset(ids.ideals[maximal_idx]):
-                    return f"k={k}: {ideal.render()} escapes the maximal ideal"
+def _ideal_semiring(ctx: SemiringCtx) -> Optional[str]:
+    ids = ideals.ideal_semiring(ctx, max_k=None)
+    if not ids.is_additively_idempotent():
+        return "ideal sum is not idempotent"
+    if not ids.is_zerosumfree():
+        return "ideal semiring is not zerosumfree"
+    if not ids.is_entire():
+        return "ideal semiring has zero divisors"
+    if not ids.least_nonzero_absorbs():
+        return "{0, m} fails to absorb nonzero ideal products"
+    members = _maximal(ctx)
+    maximal = next((i for i in ids.ideals if i.members == members), None)
+    if maximal is None:
+        names = ", ".join(e.render() for e in ctx.elements() if e != ctx.one)
+        return f"{{{names}}} is not an ideal"
+    full, zero = ids.one_index, ids.zero_index
+    for i, ideal in enumerate(ids.ideals):
+        if ids.add_table[i][zero] != i or ids.mul_table[i][full] != i:
+            return f"neutral elements broken at {ideal.render()}"
+        if i != zero and i != full and not ideal.issubset(maximal):
+            return f"{ideal.render()} escapes the maximal ideal"
     return None
 
 
-def _check_nilpotency(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, ideals.IDEAL_ENUM_BOUND, unsafe)
-    for k in ks:
-        idx = ideals.nilpotency_index(_ctx(k, mutant), max_k=limit)
-        guarantee = 1
-        while (1 << guarantee) <= k:
-            guarantee += 1
-        if idx > guarantee:
-            return f"k={k}: nilpotency index {idx} exceeds guarantee {guarantee}"
+def _nilpotency(ctx: SemiringCtx) -> Optional[str]:
+    idx = ideals.nilpotency_index(ctx, max_k=None)
+    guarantee = 1
+    while (1 << guarantee) <= ctx.k:
+        guarantee += 1
+    if idx > guarantee:
+        return f"nilpotency index {idx} exceeds guarantee {guarantee}"
     return None
 
 
 def _poly_pool(ctx: SemiringCtx):
-    elems = ctx.elements()
-    return [
-        series.make_poly(ctx, cs)
-        for cs in product(elems, repeat=3)
-    ]
+    return [series.make_poly(ctx, cs) for cs in product(ctx.elements(), repeat=3)]
 
 
-def _check_poly_units(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, min(k_max, _SWEEP_POLY_K) + 1):
-        ctx = _ctx(k, mutant)
-        one = series.Poly.one(ctx)
-        constants = [series.Poly.constant(ctx, c) for c in ctx.elements()]
-        for f in _poly_pool(ctx):
-            # degree additivity confines inverses to constants
-            invertible = any((f * c) == one for c in constants)
-            if invertible != f.is_unit() or invertible != (f == one):
-                return f"k={k}: unit status of {f.render()} is wrong"
+def _poly_units(ctx: SemiringCtx) -> Optional[str]:
+    one = series.Poly.one(ctx)
+    constants = [series.Poly.constant(ctx, c) for c in ctx.elements()]
+    for f in _poly_pool(ctx):
+        # degree additivity confines inverses to constants
+        invertible = any((f * c) == one for c in constants)
+        if invertible != f.is_unit() or invertible != (f == one):
+            return f"unit status of {f.render()} is wrong"
     return None
 
 
-def _check_poly_idempotents(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, min(k_max, _SWEEP_POLY_K) + 1):
-        ctx = _ctx(k, mutant)
-        allowed = {series.Poly.zero(ctx), series.Poly.one(ctx), series.Poly.constant(ctx, MANY)}
-        for f in _poly_pool(ctx):
-            if f.is_idempotent() != (f in allowed):
-                return f"k={k}: idempotency of {f.render()} is wrong"
+def _poly_idempotents(ctx: SemiringCtx) -> Optional[str]:
+    allowed = {series.Poly.zero(ctx), series.Poly.one(ctx), series.Poly.constant(ctx, MANY)}
+    for f in _poly_pool(ctx):
+        if f.is_idempotent() != (f in allowed):
+            return f"idempotency of {f.render()} is wrong"
     return None
 
 
-def _check_degree_morphism(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    for k in range(1, min(k_max, _SWEEP_POLY_K) + 1):
-        ctx = _ctx(k, mutant)
-        pool = _poly_pool(ctx)
-        zero = series.Poly.zero(ctx)
-        for f in pool:
-            for g in pool:
-                if (f + g).degree() != max(f.degree(), g.degree()):
-                    return f"k={k}: degree of sum breaks at {f.render()}, {g.render()}"
-                fg = f * g
-                if fg.degree() != f.degree() + g.degree():
-                    return f"k={k}: degree of product breaks at {f.render()}, {g.render()}"
-                if f != zero and g != zero and fg == zero:
-                    return f"k={k}: zero divisors at {f.render()}, {g.render()}"
+def _degree_morphism(ctx: SemiringCtx) -> Optional[str]:
+    pool = _poly_pool(ctx)
+    zero = series.Poly.zero(ctx)
+    for f in pool:
+        for g in pool:
+            if (f + g).degree() != max(f.degree(), g.degree()):
+                return f"degree of sum breaks at {f.render()}, {g.render()}"
+            fg = f * g
+            if fg.degree() != f.degree() + g.degree():
+                return f"degree of product breaks at {f.render()}, {g.render()}"
+            if f != zero and g != zero and fg == zero:
+                return f"zero divisors at {f.render()}, {g.render()}"
     return None
 
 
-def _check_window_idempotency(k_max: int, mutant, unsafe: bool) -> Optional[str]:
+def _window_idempotency(ctx: SemiringCtx) -> Optional[str]:
     depth = _SWEEP_WINDOW_DEPTH
-    for k in range(1, min(k_max, _SWEEP_WINDOW_K) + 1):
-        ctx = _ctx(k, mutant)
-        for codes in product(range(ctx.size), repeat=depth + 1):
-            f = series.TruncSeries(ctx, depth, codes)
-            if f.squares_to_self() != f.has_idempotent_shape():
-                return f"k={k}: idempotency tests disagree on {f.render()}"
-        built = series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth)
-        if not built.squares_to_self():
-            return f"k={k}: generated window is not idempotent"
+    for codes in product(range(ctx.size), repeat=depth + 1):
+        f = series.TruncSeries(ctx, depth, codes)
+        if f.squares_to_self() != f.has_idempotent_shape():
+            return f"idempotency tests disagree on {f.render()}"
+    if not series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth).squares_to_self():
+        return "generated window is not idempotent"
     return None
 
 
-def _check_quadratics(k_max: int, mutant, unsafe: bool) -> Optional[str]:
-    ks, limit = _bounded(k_max, series.ORACLE_BOUND, unsafe)
-    for k in ks:
-        ctx = _ctx(k, mutant)
-        for alpha in ctx.nonzero_elements():
-            for beta in ctx.elements():
-                closed = series.quadratic_irreducible(ctx, alpha, beta)
-                witness = series.factorization_oracle(
-                    series.quadratic(ctx, alpha, beta), max_k=limit
+def _quadratics(ctx: SemiringCtx) -> Optional[str]:
+    for alpha in ctx.nonzero_elements():
+        for beta in ctx.elements():
+            closed = series.quadratic_irreducible(ctx, alpha, beta)
+            witness = series.factorization_oracle(series.quadratic(ctx, alpha, beta), max_k=None)
+            if closed != (witness is None):
+                return (
+                    "closed form and oracle disagree at "
+                    f"alpha={alpha.render()}, beta={beta.render()}"
                 )
-                if closed != (witness is None):
-                    return (
-                        f"k={k}: closed form and oracle disagree at "
-                        f"alpha={alpha.render()}, beta={beta.render()}"
-                    )
     return None
 
 
+_IDEALS = ideals.IDEAL_ENUM_BOUND
+_GRAPHS = graphs.EXACT_SEARCH_BOUND
+
+# (name, tag, predicate, bound lifted by unsafe, cap never lifted)
 _CHECKS = (
-    ("semiring-laws", "core.laws", _check_laws),
-    ("graph-diameter", "graphs.diameter", _check_graph_diameter),
-    ("graph-girth", "graphs.girth", _check_graph_girth),
-    ("graph-clique", "graphs.clique", _check_graph_clique),
-    ("graph-chromatic", "graphs.chromatic", _check_graph_chromatic),
-    ("ideal-lattice", "ideals.lattice", _check_ideal_lattice),
-    ("ideal-primes", "ideals.primes", _check_ideal_primes),
-    ("ideal-austere", "ideals.subtractive", _check_ideal_austere),
-    ("ideal-radicals", "ideals.radical", _check_ideal_radicals),
-    ("ideal-principal-primes", "ideals.principal-primes", _check_ideal_principal_primes),
-    ("ideal-maximal", "ideals.maximal", _check_ideal_maximal),
-    ("spectrum-sierpinski", "ideals.spectrum", _check_spectrum),
-    ("localization", "ideals.localization", _check_localization),
-    ("ideal-semiring", "ideals.semiring", _check_ideal_semiring),
-    ("ideal-nilpotency", "ideals.nilpotency", _check_nilpotency),
-    ("poly-units", "series.units", _check_poly_units),
-    ("poly-idempotents", "series.idempotents", _check_poly_idempotents),
-    ("degree-morphism", "series.degree", _check_degree_morphism),
-    ("window-idempotency", "series.windows", _check_window_idempotency),
-    ("quadratic-irreducibility", "series.quadratics", _check_quadratics),
+    ("semiring-laws", "core.laws", _laws, LAW_CHECK_BOUND, None),
+    ("graph-diameter", "graphs.diameter", _graph_diameter, None, None),
+    ("graph-girth", "graphs.girth", _graph_girth, None, None),
+    ("graph-clique", "graphs.clique", _graph_clique, _GRAPHS, None),
+    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, _GRAPHS, None),
+    ("ideal-lattice", "ideals.lattice", _ideal_lattice, _IDEALS, None),
+    ("ideal-primes", "ideals.primes", _ideal_primes, _IDEALS, None),
+    ("ideal-austere", "ideals.subtractive", _ideal_austere, _IDEALS, None),
+    ("ideal-radicals", "ideals.radical", _ideal_radicals, _IDEALS, None),
+    ("ideal-principal-primes", "ideals.principal-primes", _ideal_principal_primes, _IDEALS, None),
+    ("ideal-maximal", "ideals.maximal", _ideal_maximal, _IDEALS, None),
+    ("spectrum-sierpinski", "ideals.spectrum", _spectrum, _IDEALS, None),
+    ("localization", "ideals.localization", _localization, _LOCALIZE_SWEEP_BOUND, None),
+    ("ideal-semiring", "ideals.semiring", _ideal_semiring, _IDEALS, None),
+    ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, _IDEALS, None),
+    ("poly-units", "series.units", _poly_units, None, _SWEEP_POLY_K),
+    ("poly-idempotents", "series.idempotents", _poly_idempotents, None, _SWEEP_POLY_K),
+    ("degree-morphism", "series.degree", _degree_morphism, None, _SWEEP_POLY_K),
+    ("window-idempotency", "series.windows", _window_idempotency, None, _SWEEP_WINDOW_K),
+    ("quadratic-irreducibility", "series.quadratics", _quadratics, series.ORACLE_BOUND, None),
 )
+
+
+def _run(check: tuple, k_max: int, unsafe: bool, ctx_at: Callable[[int], SemiringCtx]) -> Claim:
+    """One claim over k = 1..min(k_max, cap, bound unless unsafe), with
+    ``ctx_at(k)`` the semiring of order k."""
+    name, tag, predicate, bound, cap = check
+    top = min(n for n in (k_max, cap, None if unsafe else bound) if n is not None)
+    try:
+        for k in range(1, top + 1):
+            problem = predicate(ctx_at(k))
+            if problem is not None:
+                return Claim(name, tag, False, f"k={k}: {problem}")
+    except Exception as exc:  # a crash while checking is a failure, not an abort
+        return Claim(name, tag, False, f"error: {exc}")
+    return Claim(name, tag, True, "")
 
 
 def run_all_checks(k_max: int, mutant: Optional[str] = None, unsafe: bool = False) -> list:
     """Run the full theorem sweep for k = 1..k_max; one claim per property."""
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k range must end at an integer >= 1, got {k_max!r}")
-    return [
-        _claim(name, tag, lambda fn=fn: fn(k_max, mutant, unsafe)) for name, tag, fn in _CHECKS
-    ]
+    ctx_at = cache(lambda k: SemiringCtx(k, mutant=mutant))
+    return [_run(check, k_max, unsafe, ctx_at) for check in _CHECKS]

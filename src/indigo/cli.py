@@ -167,12 +167,7 @@ def _cmd_laws(args) -> int:
     reports = verify_laws(ctx, max_k=bound_limit(LAW_CHECK_BOUND, args.unsafe_bound))
     claims = []
     for r in reports:
-        detail = ""
-        if not r.holds:
-            shown = ", ".join(
-                x.render() if isinstance(x, Elem) else str(x) for x in r.counterexample
-            )
-            detail = f"counterexample: {shown}"
+        detail = "" if r.holds else f"counterexample: {r.render_counterexample()}"
         claims.append(checks.Claim(r.law, "core.laws", r.holds, detail))
     payload = {"k": args.k, "laws_checked": len(reports)}
     return _emit(payload, claims, args.json)

@@ -169,6 +169,10 @@ class LawReport:
     def from_counterexample(law: str, ce: Optional[tuple]) -> "LawReport":
         return LawReport(law, ce is None, ce)
 
+    def render_counterexample(self) -> str:
+        """Text form of the counterexample, e.g. "1, 1, 2"."""
+        return ", ".join(x.render() if isinstance(x, Elem) else str(x) for x in self.counterexample)
+
     def to_json(self) -> dict:
         ce = None
         if self.counterexample is not None:

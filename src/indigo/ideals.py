@@ -30,7 +30,6 @@ takes (k + 2) closures per ideal plus sum-table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Iterable, Optional
 
 import numpy as np
@@ -302,34 +301,6 @@ def spectrum(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> Spect
 _BOOLEAN_ADD = ((0, 1), (1, 1))
 _BOOLEAN_MUL = ((0, 0), (0, 1))
 
-_ISO_SEARCH_LIMIT = 4
-
-
-def _tables_isomorphic(add_a, mul_a, zero_a, one_a, add_b, mul_b, zero_b, one_b) -> bool:
-    """Exhaustive bijection search; sizes are capped tiny by the caller."""
-    n = len(add_a)
-    if n != len(add_b):
-        return False
-    if n > _ISO_SEARCH_LIMIT:
-        raise ValueError(f"bijection search capped at {_ISO_SEARCH_LIMIT} classes, got {n}")
-    for perm in permutations(range(n)):
-        if perm[zero_a] != zero_b or perm[one_a] != one_b:
-            continue
-        good = True
-        for i in range(n):
-            for j in range(n):
-                if perm[add_a[i][j]] != add_b[perm[i]][perm[j]]:
-                    good = False
-                    break
-                if perm[mul_a[i][j]] != mul_b[perm[i]][perm[j]]:
-                    good = False
-                    break
-            if not good:
-                break
-        if good:
-            return True
-    return False
-
 
 def _is_entire(mul_table, zero: int) -> bool:
     """No product of two nonzero entries of ``mul_table`` is ``zero``."""
@@ -459,18 +430,17 @@ class LocalizedSemiring:
         return _is_zerosumfree(self.add_table, self.zero_index)
 
     def is_boolean(self) -> bool:
-        """Isomorphic to the two-element Boolean semiring (1 + 1 = 1)."""
-        if self.class_count != 2:
+        """Isomorphic to the two-element Boolean semiring (1 + 1 = 1).  With
+        two classes, the only candidate sends the zero class to 0 and the
+        one class to 1."""
+        if self.class_count != 2 or self.zero_index == self.one_index:
             return False
-        return _tables_isomorphic(
-            self.add_table,
-            self.mul_table,
-            self.zero_index,
-            self.one_index,
-            _BOOLEAN_ADD,
-            _BOOLEAN_MUL,
-            0,
-            1,
+        image = (self.zero_index, self.one_index)  # the class of 0, and of 1
+        return all(
+            table[image[a]][image[b]] == image[want[a][b]]
+            for table, want in ((self.add_table, _BOOLEAN_ADD), (self.mul_table, _BOOLEAN_MUL))
+            for a in range(2)
+            for b in range(2)
         )
 
     def matches_ambient(self) -> bool:
@@ -536,13 +506,17 @@ class IdealSemiring:
     Neutral elements are {0} for the sum and the whole semiring for the
     product.  The structure is additively idempotent, zerosumfree and
     entire, and the least nonzero ideal absorbs products of nonzero
-    ideals.
+    ideals.  A rule under which {0} or {0, m} is not an ideal is an
+    arithmetic fault: the constructor raises ``RuntimeError``.
     """
 
     def __init__(self, ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND):
         self.ctx = ctx
         self.ideals = tuple(enumerate_ideals(ctx, max_k=max_k))
         index = self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
+        for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (ctx.size - 1))):
+            if mask not in index:  # only under a faulty rule
+                raise RuntimeError(f"k={ctx.k}: {name} is not an ideal")
         self.zero_index = index[1]  # the ideal {0}
         self.one_index = index[(1 << ctx.size) - 1]  # the whole semiring
         self.ls_index = index[1 | 1 << (ctx.size - 1)]  # {0, m}

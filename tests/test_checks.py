@@ -1,0 +1,80 @@
+"""The sweep driver: each claim's k range, the contexts it shares, and its
+claim lines against the ones the benchmark records."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+from indigo import checks
+from indigo.cli import EXIT_OK, EXIT_VIOLATED, main
+from indigo.core import MUTANT_ENV
+
+# last k of each claim's range when k_max does not cut it: (safe, unsafe);
+# None runs to k_max
+TOPS = {
+    "semiring-laws": (64, None),
+    "graph-diameter": (None, None),
+    "graph-girth": (None, None),
+    "graph-clique": (24, None),
+    "graph-chromatic": (24, None),
+    "ideal-lattice": (16, None),
+    "ideal-primes": (16, None),
+    "ideal-austere": (16, None),
+    "ideal-radicals": (16, None),
+    "ideal-principal-primes": (16, None),
+    "ideal-maximal": (16, None),
+    "spectrum-sierpinski": (16, None),
+    "localization": (10, None),
+    "ideal-semiring": (16, None),
+    "ideal-nilpotency": (16, None),
+    "poly-units": (4, 4),
+    "poly-idempotents": (4, 4),
+    "degree-morphism": (4, 4),
+    "window-idempotency": (3, 3),
+    "quadratic-irreducibility": (6, None),
+}
+
+
+@pytest.mark.parametrize("unsafe", [False, True])
+@pytest.mark.parametrize("k_max", [3, 30])
+def test_each_claim_sees_its_range_and_shares_one_context_per_k(monkeypatch, k_max, unsafe):
+    seen = {name: [] for name in TOPS}
+
+    def recorder(name):
+        return lambda ctx: seen[name].append(ctx)
+
+    table = tuple((c[0], c[1], recorder(c[0]), *c[3:]) for c in checks._CHECKS)
+    monkeypatch.setattr(checks, "_CHECKS", table)
+    claims = checks.run_all_checks(k_max, mutant="add-cap", unsafe=unsafe)
+    assert [c.name for c in claims] == list(TOPS)
+    assert all(c.passed for c in claims)
+    shared = {}
+    for name, (safe_top, unsafe_top) in TOPS.items():
+        top = unsafe_top if unsafe else safe_top
+        want = k_max if top is None else min(k_max, top)
+        assert [ctx.k for ctx in seen[name]] == list(range(1, want + 1)), name
+        for ctx in seen[name]:
+            assert ctx.mutant == "add-cap"
+            assert shared.setdefault(ctx.k, ctx) is ctx, (name, ctx.k)
+    assert sorted(shared) == list(range(1, k_max + 1))
+
+
+def _recorded_sweep_claims():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "expected.py"
+    spec = importlib.util.spec_from_file_location("perfbench_expected", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SWEEP_CLAIMS
+
+
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_sweep_claim_lines_match_the_benchmark_record(capsys, monkeypatch, mutant):
+    if mutant is None:
+        monkeypatch.delenv(MUTANT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(MUTANT_ENV, mutant)
+    code = main(["verify-all", "--k-max", "8"])
+    lines = tuple(l for l in capsys.readouterr().out.splitlines() if l.startswith("claim "))
+    assert lines == _recorded_sweep_claims()[mutant]
+    assert code == (EXIT_OK if mutant is None else EXIT_VIOLATED)

@@ -80,29 +80,46 @@ FAILURE_COUNTS = {
 }
 
 
-def run_claim(name, fn):
-    return checks._claim(name, "", lambda: fn(K, None, False))
+# faults under which the ideal semiring misses {0}, {0, m} or the maximal ideal
+IDEAL_SEMIRING_FAULTS = {
+    ("add", 0, 0, 1): "error: k=3: {0} is not an ideal",
+    ("add", 0, 4, 1): "error: k=3: {0, m} is not an ideal",
+    ("add", 0, 2, 1): "k=3: {0, 2, 3, m} is not an ideal",
+}
+
+
+def run_claim(check):
+    return checks._run(check, K, False, SemiringCtx)
 
 
 def test_every_claim_is_failed_by_its_witness_fault(monkeypatch):
-    assert list(WITNESSES) == [name for name, _, _ in checks._CHECKS]
+    assert list(WITNESSES) == [check[0] for check in checks._CHECKS]
     assert all(c.passed for c in checks.run_all_checks(K))
-    for name, _, fn in checks._CHECKS:
+    for check in checks._CHECKS:
+        name = check[0]
         cell, detail = WITNESSES[name]
         monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
-        claim = run_claim(name, fn)
+        claim = run_claim(check)
         assert (claim.passed, claim.detail) == (False, detail), name
+
+
+@pytest.mark.parametrize("cell", IDEAL_SEMIRING_FAULTS)
+def test_ideal_semiring_names_the_missing_ideal(monkeypatch, cell):
+    (check,) = [check for check in checks._CHECKS if check[0] == "ideal-semiring"]
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+    claim = run_claim(check)
+    assert (claim.passed, claim.detail) == (False, IDEAL_SEMIRING_FAULTS[cell])
 
 
 @pytest.mark.slow
 def test_claim_fault_matrix_counts(monkeypatch):
-    assert list(FAILURE_COUNTS) == [name for name, _, _ in checks._CHECKS]
+    assert list(FAILURE_COUNTS) == [check[0] for check in checks._CHECKS]
     counts = dict.fromkeys(FAILURE_COUNTS, 0)
     faults = 0
     for cell in cell_corruptions(K):
         monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
         faults += 1
-        for name, _, fn in checks._CHECKS:
-            counts[name] += not run_claim(name, fn).passed
+        for check in checks._CHECKS:
+            counts[check[0]] += not run_claim(check).passed
     assert faults == 200
     assert counts == FAILURE_COUNTS

@@ -436,16 +436,12 @@ def test_verify_all_catches_mutants(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "check",
-    [
-        checks._check_ideal_lattice,
-        checks._check_ideal_primes,
-        checks._check_ideal_austere,
-        checks._check_spectrum,
-    ],
+    "name", ["ideal-lattice", "ideal-primes", "ideal-austere", "spectrum-sierpinski"]
 )
-def test_unsafe_sweep_lifts_the_ideal_bound(check):
-    assert check(ideals.IDEAL_ENUM_BOUND + 1, None, unsafe=True) is None
+def test_unsafe_sweep_lifts_the_ideal_bound(name):
+    (check,) = [check for check in checks._CHECKS if check[0] == name]
+    claim = checks._run(check, ideals.IDEAL_ENUM_BOUND + 1, True, indigo.SemiringCtx)
+    assert (claim.passed, claim.detail) == (True, "")
 
 
 def test_unknown_mutant_is_a_usage_error(capsys, monkeypatch):

@@ -246,16 +246,16 @@ _SEARCH_FAILURES = {
 
 def test_every_graph_claim_is_failed_by_a_cell_corruption(monkeypatch):
     k = 3
-    claims = [(name, fn) for name, _, fn in checks._CHECKS if name.startswith("graph-")]
-    assert [name for name, _ in claims] == list(_SEARCH_FAILURES)
-    failures = {name: set() for name, _ in claims}
+    claims = [check for check in checks._CHECKS if check[0].startswith("graph-")]
+    assert [check[0] for check in claims] == list(_SEARCH_FAILURES)
+    failures = {check[0]: set() for check in claims}
     corruptions = 0
     for cell in cell_corruptions(k):
         monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, k))
         corruptions += 1
-        for name, fn in claims:
-            if not checks._claim(name, "", lambda: fn(k, None, False)).passed:
-                failures[name].add(cell)
+        for check in claims:
+            if not checks._run(check, k, False, SemiringCtx).passed:
+                failures[check[0]].add(cell)
     assert corruptions == 200
     for name, failed in failures.items():
         assert failed, name

@@ -1,4 +1,5 @@
 import functools
+import itertools
 
 import pytest
 from hypothesis import given, settings
@@ -326,6 +327,39 @@ def test_boolean_for_every_unit_set_with_finite_denominator():
             loc = localize(c, subset)
             assert loc.class_count == 2
             assert loc.is_boolean()
+
+
+def boolean_by_bijection_search(loc):
+    """Some bijection onto the Boolean semiring's {0, 1} keeps zero, one and
+    both tables."""
+    n = loc.class_count
+    boolean = (((0, 1), (1, 1)), ((0, 0), (0, 1)))  # add, mul
+    return n == 2 and any(
+        perm[loc.zero_index] == 0
+        and perm[loc.one_index] == 1
+        and all(
+            perm[table[i][j]] == want[perm[i]][perm[j]]
+            for table, want in zip((loc.add_table, loc.mul_table), boolean)
+            for i in range(n)
+            for j in range(n)
+        )
+        for perm in itertools.permutations(range(n))
+    )
+
+
+def test_is_boolean_matches_bijection_search():
+    seen = 0
+    for mutant in CONTEXTS:
+        for k in range(1, 9):
+            c = SemiringCtx(k, mutant=mutant)
+            for subset in multiplicative_subsets(c):
+                seen += 1
+                try:
+                    loc = localize(c, subset)
+                except RuntimeError:  # not representative-independent under mul-cap
+                    continue
+                assert loc.is_boolean() == boolean_by_bijection_search(loc), (mutant, k, subset)
+    assert seen == 548
 
 
 def test_trivial_localization_reproduces_the_semiring():
