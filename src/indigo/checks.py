@@ -25,7 +25,7 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import graphs, ideals, series
-from .core import LAW_CHECK_BOUND, MANY, ZERO, SemiringCtx, fin, verify_laws
+from .core import LAW_CHECK_BOUND, MANY, SemiringCtx, fin, verify_laws
 
 # window sweep is cubic in window count; depth 5 keeps verify-all snappy
 _SWEEP_WINDOW_DEPTH = 5
@@ -45,9 +45,9 @@ class Claim:
         return {"name": self.name, "tag": self.tag, "passed": self.passed, "detail": self.detail}
 
 
-def _maximal(ctx: SemiringCtx) -> frozenset:
-    """Members of the maximal ideal: every element but 1."""
-    return frozenset(e for e in ctx.elements() if e != ctx.one)
+def _maximal(ctx: SemiringCtx) -> int:
+    """Mask of the maximal ideal: every code but that of 1."""
+    return (1 << ctx.size) - 1 & ~(1 << ctx.encode(ctx.one))
 
 
 def _laws(ctx: SemiringCtx) -> Optional[str]:
@@ -103,21 +103,21 @@ def _graph_chromatic(ctx: SemiringCtx) -> Optional[str]:
 
 def _ideal_lattice(ctx: SemiringCtx) -> Optional[str]:
     lattice = ideals.enumerate_ideals(ctx, max_k=None)
-    smallest = frozenset((ZERO, MANY))
-    if smallest not in {i.members for i in lattice}:
+    smallest = 1 | 1 << ctx.encode(MANY)  # {0, m}
+    if smallest not in {i.mask for i in lattice}:
         return "{0, m} is not an ideal"
     for ideal in lattice:
         if not ideal.is_zero:
-            if MANY not in ideal.members:
+            if not ideal.contains(MANY):
                 return f"nonzero ideal {ideal.render()} misses m"
-            if not smallest <= ideal.members:
+            if smallest & ~ideal.mask:
                 return f"{ideal.render()} does not contain {{0, m}}"
     return None
 
 
 def _ideal_primes(ctx: SemiringCtx) -> Optional[str]:
     primes = [i for i in ideals.enumerate_ideals(ctx, max_k=None) if ideals.is_prime(ctx, i)]
-    if {p.members for p in primes} != {frozenset((ZERO,)), _maximal(ctx)}:
+    if {p.mask for p in primes} != {1, _maximal(ctx)}:
         return f"primes are {sorted(p.render() for p in primes)}"
     return None
 
@@ -133,8 +133,8 @@ def _ideal_austere(ctx: SemiringCtx) -> Optional[str]:
 def _ideal_radicals(ctx: SemiringCtx) -> Optional[str]:
     maximal = _maximal(ctx)
     for ideal in ideals.enumerate_ideals(ctx, max_k=None):
-        want = ideal.members if ideal.is_zero or ideal.is_whole else maximal
-        if ideals.radical(ctx, ideal).members != want:
+        want = ideal.mask if ideal.is_zero or ideal.is_whole else maximal
+        if ideals.radical(ctx, ideal).mask != want:
             return f"radical of {ideal.render()} is wrong"
     return None
 
@@ -154,7 +154,7 @@ def _ideal_principal_primes(ctx: SemiringCtx) -> Optional[str]:
 def _ideal_maximal(ctx: SemiringCtx) -> Optional[str]:
     maximal = _maximal(ctx)
     for ideal in ideals.enumerate_ideals(ctx, max_k=None):
-        want = ideal.members == maximal
+        want = ideal.mask == maximal
         if ideals.is_maximal(ctx, ideal) != want:
             return f"maximality of {ideal.render()} is {not want}"
     return None
@@ -203,8 +203,8 @@ def _ideal_semiring(ctx: SemiringCtx) -> Optional[str]:
         return "ideal semiring has zero divisors"
     if not ids.least_nonzero_absorbs():
         return "{0, m} fails to absorb nonzero ideal products"
-    members = _maximal(ctx)
-    maximal = next((i for i in ids.ideals if i.members == members), None)
+    mask = _maximal(ctx)
+    maximal = next((i for i in ids.ideals if i.mask == mask), None)
     if maximal is None:
         names = ", ".join(e.render() for e in ctx.elements() if e != ctx.one)
         return f"{{{names}}} is not an ideal"

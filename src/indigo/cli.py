@@ -260,7 +260,10 @@ def _cmd_localize(args) -> int:
     if loc.unit_set == frozenset((ctx.one,)):
         payload["matches_ambient"] = loc.matches_ambient()
     if args.json:
-        payload["classes"] = loc.to_json()["classes"]
+        payload["classes"] = [
+            [[a.to_json(), u.to_json()] for a, u in loc.class_members(ci)]
+            for ci in range(loc.class_count)
+        ]
     return _emit(payload, [], args.json)
 
 
@@ -391,17 +394,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", metavar="A")
     p.add_argument("--idempotent", metavar="A")
     add_common(p, with_unsafe=False)
-    p.set_defaults(fn=_cmd_elem)
 
     p = sub.add_parser("table", help="addition and multiplication tables")
     p.add_argument("k", type=int)
     add_common(p, with_unsafe=False)
-    p.set_defaults(fn=_cmd_table)
 
     p = sub.add_parser("laws", help="exhaustive law verification")
     p.add_argument("k", type=int)
     add_common(p)
-    p.set_defaults(fn=_cmd_laws)
 
     p = sub.add_parser("graph", help="saturation graph invariants")
     p.add_argument("k", type=int)
@@ -411,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chromatic", action="store_true")
     p.add_argument("--edges", action="store_true", help="include the edge list")
     add_common(p)
-    p.set_defaults(fn=_cmd_graph)
 
     p = sub.add_parser("ideals", help="ideal lattice queries")
     p.add_argument("k", type=int)
@@ -420,18 +419,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--primes", action="store_true")
     p.add_argument("--radical", metavar="GENS", help="radical of the ideal generated by GENS")
     add_common(p)
-    p.set_defaults(fn=_cmd_ideals)
 
     p = sub.add_parser("spec", help="Zariski spectrum")
     p.add_argument("k", type=int)
     add_common(p)
-    p.set_defaults(fn=_cmd_spec)
 
     p = sub.add_parser("localize", help="fractions over a multiplicative set")
     p.add_argument("k", type=int)
     p.add_argument("--u", required=True, metavar="ELEMS", help="comma-separated, e.g. 1,2,m")
     add_common(p, with_unsafe=False)
-    p.set_defaults(fn=_cmd_localize)
 
     p = sub.add_parser("poly", help="polynomial arithmetic")
     p.add_argument("k", type=int)
@@ -441,7 +437,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--unit", metavar="F")
     p.add_argument("--idempotent", metavar="F")
     add_common(p, with_unsafe=False)
-    p.set_defaults(fn=_cmd_poly)
 
     p = sub.add_parser("series", help="idempotent power series windows")
     p.add_argument("k", type=int)
@@ -450,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--constant", default="m", help="constant term for --gens (1 or m)")
     p.add_argument("--check", metavar="EXPR", help="test a window given as polynomial text")
     add_common(p, with_unsafe=False)
-    p.set_defaults(fn=_cmd_series)
 
     p = sub.add_parser("irreducible", help="quadratic irreducibility")
     p.add_argument("k", type=int)
@@ -458,21 +452,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beta", required=True)
     p.add_argument("--oracle", action="store_true", help="cross-check by exhaustive factoring")
     add_common(p)
-    p.set_defaults(fn=_cmd_irreducible)
 
     p = sub.add_parser("verify-all", help="run the full theorem sweep")
     p.add_argument("--k-max", type=int, default=8, dest="k_max")
     add_common(p)
-    p.set_defaults(fn=_cmd_verify_all)
 
     return parser
 
 
+_parser: Optional[argparse.ArgumentParser] = None  # built on the first main call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        code = args.fn(args)
+        # subcommand "verify-all" runs _cmd_verify_all, looked up per call
+        code = globals()["_cmd_" + args.command.replace("-", "_")](args)
     except BoundExceededError as exc:
         if args.json:
             _out(json.dumps({"status": "bound-exceeded", "error": str(exc)}, indent=2))

@@ -8,10 +8,11 @@ only primes are {0} and that maximal ideal, so the Zariski spectrum is
 the two-point Sierpinski space.
 
 An ideal is a bitmask over element codes: bit c is set when the element
-with code c (``SemiringCtx.encode``) belongs to it.  All arithmetic in
-this module reads the Cayley tables of ``ctx.tables()``; elements appear
-only at the boundary, in arguments and in views such as
-``Ideal.members``.
+with code c (``SemiringCtx.encode``) belongs to it.  Every ideal
+predicate tests bits of the mask against table rows read through
+``ctx.table_rows()``; only ``LocalizedSemiring`` reads the dense
+``ctx.tables()``.  Elements appear only at the boundary, in arguments
+and in views such as ``Ideal.members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
@@ -47,17 +48,24 @@ def _codes(mask: int):
         mask ^= low
 
 
-def _member(ctx: SemiringCtx, mask: int) -> np.ndarray:
-    """Membership of every code of ctx in ``mask``, as a boolean array."""
-    return np.array([mask >> c & 1 for c in range(ctx.size)], dtype=bool)
-
-
 def _name(ctx: SemiringCtx, code) -> str:
     return ctx.decode(code).render()
 
 
+def _escape(rows, left, right, mask: int):
+    """The first (a, b), a in ``left`` then b in ``right``, whose table
+    entry ``rows[a][b]`` lies outside ``mask``; None if there is none.
+    Passing ``~mask`` finds the first entry inside ``mask`` instead."""
+    for a in left:
+        row = rows[a]
+        for b in right:
+            if not mask >> row[b] & 1:
+                return a, b
+    return None
+
+
 class _Closure:
-    """The ideal closure of a code mask, read off ``ctx.tables()``.
+    """The ideal closure of a code mask, read off ``ctx.table_rows()``.
 
     Built once per context and reused across masks; ``product`` closes
     the pairwise products of two masks.
@@ -111,20 +119,16 @@ class Ideal:
             raise ContextMismatchError(f"mask {mask} sets a code outside order k={ctx.k}")
         if not mask & 1:
             raise ValueError("an ideal must contain zero")
-        add_t, mul_t = ctx.tables()
-        member = _member(ctx, mask)
-        inside = np.flatnonzero(member)
-        escapes = ~member[add_t[inside[:, None], inside]]
-        if escapes.any():
-            i, j = np.argwhere(escapes)[0]
-            a, b = _name(ctx, inside[i]), _name(ctx, inside[j])
+        add, mul = ctx.table_rows()
+        inside = list(_codes(mask))
+        escape = _escape(add, inside, inside, mask)
+        if escape:
+            a, b = (_name(ctx, c) for c in escape)
             raise ValueError(f"not closed under addition: {a} + {b} escapes")
-        escapes = ~member[mul_t[:, inside]]
-        if escapes.any():
-            s, j = np.argwhere(escapes)[0]
-            raise ValueError(
-                f"not absorbing: {_name(ctx, s)} * {_name(ctx, inside[j])} escapes"
-            )
+        escape = _escape(mul, range(ctx.size), inside, mask)
+        if escape:
+            s, a = (_name(ctx, c) for c in escape)
+            raise ValueError(f"not absorbing: {s} * {a} escapes")
 
     @property
     def members(self) -> frozenset:
@@ -227,9 +231,8 @@ def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Proper, and a product lands inside only if a factor does."""
     if not ideal.is_proper:
         return False
-    member = _member(ctx, ideal.mask)
-    outside = np.flatnonzero(~member)
-    return not member[ctx.tables()[1][outside[:, None], outside]].any()
+    outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
+    return _escape(ctx.table_rows()[1], outside, outside, ~ideal.mask) is None
 
 
 def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
@@ -243,9 +246,9 @@ def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
 
 def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Whether a in I and a + b in I force b in I."""
-    member = _member(ctx, ideal.mask)
-    sums_in = member[ctx.tables()[0][np.flatnonzero(member)]]  # [a, b]: a + b in I
-    return not (sums_in & ~member).any()
+    inside = _codes(ideal.mask)
+    outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
+    return _escape(ctx.table_rows()[0], inside, outside, ~ideal.mask) is None
 
 
 def radical(ctx: SemiringCtx, ideal: Ideal) -> Ideal:
@@ -366,7 +369,7 @@ class LocalizedSemiring:
         n = ctx.size
         num = np.repeat(np.arange(n), len(us))
         den = np.tile(us, n)
-        self._pairs = tuple(zip(num.tolist(), den.tolist()))
+        pairs = tuple(zip(num.tolist(), den.tolist()))
         left = mul_t[num[:, None], den[None, :]]  # a * v
         right = mul_t[num[None, :], den[:, None]]  # b * u
         scaled = mul_t[us]  # row t: t * x for every code x
@@ -381,7 +384,7 @@ class LocalizedSemiring:
             label = lower
         firsts, cls = np.unique(label, return_inverse=True)
         self._classes = tuple(
-            tuple(self._pairs[i] for i in np.flatnonzero(cls == ci)) for ci in range(len(firsts))
+            tuple(pairs[i] for i in np.flatnonzero(cls == ci)) for ci in range(len(firsts))
         )
         self._class_at = np.full((n, n), -1, dtype=np.int64)  # [a, u]: class of a/u
         self._class_at[num, den] = cls
@@ -397,14 +400,6 @@ class LocalizedSemiring:
             self._class_at[mul_t[num[:, None], num[None, :]], units_prod], label, firsts
         )
 
-    def _decoded(self, pairs) -> tuple:
-        decode = self.ctx.decode
-        return tuple((decode(a), decode(u)) for a, u in pairs)
-
-    @property
-    def pairs(self) -> tuple:
-        return self._decoded(self._pairs)
-
     @property
     def class_count(self) -> int:
         return len(self._classes)
@@ -415,7 +410,8 @@ class LocalizedSemiring:
         return int(self._class_at[self.ctx.encode(a), self.ctx.encode(u)])
 
     def class_members(self, index: int) -> tuple:
-        return self._decoded(self._classes[index])
+        decode = self.ctx.decode
+        return tuple((decode(a), decode(u)) for a, u in self._classes[index])
 
     def add_class(self, i: int, j: int) -> int:
         return self.add_table[i][j]
@@ -475,31 +471,6 @@ def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     return LocalizedSemiring(ctx, units)
 
 
-def _ideal_tables(ctx: SemiringCtx, index: dict) -> tuple:
-    """Sum and product tables of the ideals in ``index`` (mask -> position),
-    as arrays of positions: [i, j] is ideal i + ideal j, or ideal i * ideal j.
-
-    The sum closes each distinct union of two masks once.  The product
-    of I and J is the join of the principal products x * J over the
-    codes x of I, so it needs one closure per code and ideal, and then
-    only sum-table lookups.
-    """
-    close = _Closure(ctx)
-    masks = list(index)
-    joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
-    for union in {a | b for a in masks for b in masks}.difference(joins):
-        joins[union] = index[close(union)]
-    add = np.array([[joins[a | b] for b in masks] for a in masks])
-    principal = np.array(
-        [[index[close.product(1 << x, b)] for b in masks] for x in range(ctx.size)]
-    )
-    mul = np.full_like(add, index[close(0)])  # the least ideal is neutral for the join
-    for x, products in enumerate(principal):
-        rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
-        mul[rows] = add[mul[rows], products]
-    return add, mul
-
-
 class IdealSemiring:
     """All ideals under ideal sum and ideal product.
 
@@ -520,7 +491,23 @@ class IdealSemiring:
         self.zero_index = index[1]  # the ideal {0}
         self.one_index = index[(1 << ctx.size) - 1]  # the whole semiring
         self.ls_index = index[1 | 1 << (ctx.size - 1)]  # {0, m}
-        add, mul = _ideal_tables(ctx, index)
+        # the sum closes each distinct union of two masks once; the product
+        # I * J is the join of the principal products x * J over the codes
+        # x of I, so it needs one closure per code and ideal, then only
+        # sum-table lookups
+        close = _Closure(ctx)
+        masks = list(index)
+        joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
+        for union in {a | b for a in masks for b in masks}.difference(joins):
+            joins[union] = index[close(union)]
+        add = np.array([[joins[a | b] for b in masks] for a in masks])
+        principal = np.array(
+            [[index[close.product(1 << x, b)] for b in masks] for x in range(ctx.size)]
+        )
+        mul = np.full_like(add, self.zero_index)  # {0} is neutral for the join
+        for x, products in enumerate(principal):
+            rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
+            mul[rows] = add[mul[rows], products]
         self.add_table = tuple(map(tuple, add.tolist()))
         self.mul_table = tuple(map(tuple, mul.tolist()))
 
@@ -571,18 +558,12 @@ def nilpotency_index(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) 
     Such an n always exists; 2^n > k is a guaranteed upper bound because
     an n-fold product of elements >= 2 then exceeds k.
     """
-    lattice = enumerate_ideals(ctx, max_k=max_k)
-    index = {ideal.mask: i for i, ideal in enumerate(lattice)}
-    mul = _ideal_tables(ctx, index)[1]
-    full = (1 << ctx.size) - 1
-    factors = [i for mask, i in index.items() if mask not in (1, full)]
-    least = index.get(1 | 1 << (ctx.size - 1))  # {0, m}
-    current = factors
+    ids = IdealSemiring(ctx, max_k=max_k)
+    factors = [i for i in range(ids.size) if i not in (ids.zero_index, ids.one_index)]
+    current = set(factors)
     n = 1
-    while current != [least]:
-        reached = np.zeros(len(lattice), dtype=bool)
-        reached[mul[np.ix_(current, factors)]] = True
-        current = np.flatnonzero(reached).tolist()
+    while current != {ids.ls_index}:
+        current = {ids.mul_table[i][j] for i in current for j in factors}
         n += 1
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")

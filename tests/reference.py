@@ -5,13 +5,17 @@ mutant included, independently of ``SemiringCtx._cayley``: oracles built
 on them check the library's tables and rows against a second statement
 of the rule instead of against themselves.
 
+``ref_ideal``, ``ref_is_prime`` and ``ref_is_subtractive`` state the
+ideal predicates as whole-table numpy scans over ``ctx.tables()``, for
+the library's bit tests on table rows to be checked against.
+
 ``cell_fault`` and ``cell_corruptions`` inject one wrong cell into the
 rule itself, so every arithmetic path of the library sees it.
 """
 
 import numpy as np
 
-from indigo.core import MANY, ZERO, SemiringCtx, fin
+from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
 
 
 def ref_add(ctx, a, b):
@@ -46,6 +50,51 @@ def ref_mul(ctx, a, b):
     if ctx.mutant == "mul-cap":
         return fin(ctx.k)
     return MANY
+
+
+def _member(ctx, mask):
+    """Membership of every code of ctx in ``mask``, as a boolean array."""
+    return np.array([mask >> c & 1 for c in range(ctx.size)], dtype=bool)
+
+
+def _name(ctx, code):
+    return ctx.decode(int(code)).render()
+
+
+def ref_ideal(ctx, mask):
+    """Raise what ``Ideal(ctx, mask)`` raises for a mask that is not an
+    ideal: the first escaping sum in row-major order over the members,
+    then the first escaping product s * a, s over every code."""
+    if mask < 0 or mask >> ctx.size:
+        raise ContextMismatchError(f"mask {mask} sets a code outside order k={ctx.k}")
+    if not mask & 1:
+        raise ValueError("an ideal must contain zero")
+    add_t, mul_t = ctx.tables()
+    member = _member(ctx, mask)
+    inside = np.flatnonzero(member)
+    escapes = ~member[add_t[inside[:, None], inside]]
+    if escapes.any():
+        i, j = np.argwhere(escapes)[0]
+        a, b = _name(ctx, inside[i]), _name(ctx, inside[j])
+        raise ValueError(f"not closed under addition: {a} + {b} escapes")
+    escapes = ~member[mul_t[:, inside]]
+    if escapes.any():
+        s, j = np.argwhere(escapes)[0]
+        raise ValueError(f"not absorbing: {_name(ctx, s)} * {_name(ctx, inside[j])} escapes")
+
+
+def ref_is_prime(ctx, mask):
+    """Proper, and no product of two codes outside ``mask`` lands inside."""
+    member = _member(ctx, mask)
+    outside = np.flatnonzero(~member)
+    return len(outside) > 0 and not member[ctx.tables()[1][outside[:, None], outside]].any()
+
+
+def ref_is_subtractive(ctx, mask):
+    """No a inside and b outside ``mask`` with a + b inside."""
+    member = _member(ctx, mask)
+    sums_in = member[ctx.tables()[0][np.flatnonzero(member)]]  # [a, b]: a + b inside
+    return not (sums_in & ~member).any()
 
 
 _CLEAN_RULE = SemiringCtx._cayley

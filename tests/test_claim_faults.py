@@ -71,7 +71,7 @@ FAILURE_COUNTS = {
     "spectrum-sierpinski": 73,
     "localization": 102,
     "ideal-semiring": 103,
-    "ideal-nilpotency": 59,
+    "ideal-nilpotency": 65,
     "poly-units": 29,
     "poly-idempotents": 18,
     "degree-morphism": 40,
@@ -85,6 +85,15 @@ IDEAL_SEMIRING_FAULTS = {
     ("add", 0, 0, 1): "error: k=3: {0} is not an ideal",
     ("add", 0, 4, 1): "error: k=3: {0, m} is not an ideal",
     ("add", 0, 2, 1): "k=3: {0, 2, 3, m} is not an ideal",
+}
+
+
+# faults under which {0} is not an ideal: the nilpotency index, read off
+# the ideal semiring, now fails on them too
+NILPOTENCY_FAULTS = {
+    ("add", 0, 0, 4): "error: k=3: {0} is not an ideal",
+    ("mul", 2, 0, 4): "error: k=3: {0} is not an ideal",
+    ("mul", 4, 4, 1): "error: k=3: {0, m} is not an ideal",
 }
 
 
@@ -109,6 +118,14 @@ def test_ideal_semiring_names_the_missing_ideal(monkeypatch, cell):
     monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
     claim = run_claim(check)
     assert (claim.passed, claim.detail) == (False, IDEAL_SEMIRING_FAULTS[cell])
+
+
+@pytest.mark.parametrize("cell", NILPOTENCY_FAULTS)
+def test_nilpotency_names_the_missing_ideal(monkeypatch, cell):
+    (check,) = [check for check in checks._CHECKS if check[0] == "ideal-nilpotency"]
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+    claim = run_claim(check)
+    assert (claim.passed, claim.detail) == (False, NILPOTENCY_FAULTS[cell])
 
 
 @pytest.mark.slow

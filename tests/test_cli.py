@@ -484,6 +484,24 @@ def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
     assert "status:" not in out
 
 
+def test_main_builds_one_parser_and_reaches_a_handler_patched_later(capsys, monkeypatch):
+    built = []
+
+    def counting_build():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    code, out, _ = run_cli(capsys, "elem", "3", "--add", "2", "2")
+    assert (code, "result: m" in out) == (EXIT_OK, True)
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_elem", lambda args: seen.append(args.add) or EXIT_VIOLATED)
+    assert run_cli(capsys, "elem", "3", "--add", "1", "1")[0] == EXIT_VIOLATED
+    assert seen == [["1", "1"]]
+    assert built == [1]
+
+
 def readme_commands():
     """The ``indigo ...`` lines of the fenced sh block under README's
     "Command line" heading, as argv lists without the program name."""

@@ -1,10 +1,20 @@
+import ast
 import functools
+import inspect
 import itertools
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ref_add, ref_mul
+from reference import (
+    cell_corruptions,
+    cell_fault,
+    ref_add,
+    ref_ideal,
+    ref_is_prime,
+    ref_is_subtractive,
+    ref_mul,
+)
 
 from indigo import checks, ideals
 from indigo.core import MANY, ZERO, BoundExceededError, SemiringCtx, fin
@@ -148,6 +158,63 @@ def test_ideal_constructor_validates():
         Ideal(capped, mask(capped, 0, 3))
     with pytest.raises(ValueError):
         Ideal(c, 1 << c.size)  # a code beyond m
+
+
+def ideal_verdicts(c, m):
+    """(error text, or None, then is_prime and is_subtractive of an ideal)
+    from the library and from the dense-table reference."""
+    try:
+        ideal = Ideal(c, m)
+    except ValueError as exc:
+        got = (str(exc),)
+    else:
+        got = (None, is_prime(c, ideal), is_subtractive(c, ideal))
+    try:
+        ref_ideal(c, m)
+    except ValueError as exc:
+        want = (str(exc),)
+    else:
+        want = (None, ref_is_prime(c, m), ref_is_subtractive(c, m))
+    return got, want
+
+
+def test_ideal_predicates_match_the_dense_table_reference(monkeypatch):
+    cases = 0
+    for mutant in CONTEXTS:
+        for k in range(1, 5):
+            c = SemiringCtx(k, mutant=mutant)
+            for m in range(1 << c.size):
+                got, want = ideal_verdicts(c, m)
+                assert got == want, (k, mutant, m)
+                cases += 1
+    for cell in cell_corruptions(3):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+        c = SemiringCtx(3)
+        for m in range(1 << c.size):
+            got, want = ideal_verdicts(c, m)
+            assert got == want, (cell, m)
+            cases += 1
+    assert cases == 6760
+
+
+def test_ideal_predicates_read_table_rows_only():
+    """Only ``LocalizedSemiring`` reads the dense tables; the ideal
+    predicates build no arrays, and nilpotency reuses the ideal semiring."""
+    tree = ast.parse(inspect.getsource(ideals))
+    dense_readers = set()
+    for top in tree.body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "tables":
+                dense_readers.add(top.name)
+            assert getattr(node, "id", getattr(node, "name", None)) != "_member"
+    assert dense_readers == {"LocalizedSemiring"}
+    defs = {top.name: top for top in tree.body if hasattr(top, "name")}
+    for name in ("Ideal", "is_prime", "is_subtractive", "nilpotency_index"):
+        names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+        assert "np" not in names, name
+    assert not {"enumerate_ideals", "_Closure"} & {
+        n.id for n in ast.walk(defs["nilpotency_index"]) if isinstance(n, ast.Name)
+    }
 
 
 def test_ideal_views_follow_the_mask():
