@@ -2,13 +2,12 @@
 
 Each claim is a predicate on the semiring of one order k: it returns a
 problem text, or ``None`` when the property holds at that k.
-``_CHECKS`` lists every claim as ``(name, tag, predicate, bound, cap)``.
-``bound`` is the exhaustive-search bound of the library call behind the
-claim, which ``unsafe`` lifts; ``cap`` is a fixed sweep size that is
-never lifted; ``None`` means neither.  One rule decides what a claim
-covers: k = 1..min(k_max, cap, bound unless unsafe).  Every k a
-predicate sees is thus inside its bound, so predicates call the library
-unbounded (``max_k=None``).
+``_CHECKS`` lists every claim as ``(name, tag, predicate, search, cap)``.
+``search`` names the exhaustive search behind the claim in
+``bounds.BOUNDS``, whose bound ``unsafe`` lifts; ``cap`` is a fixed
+sweep size that is never lifted; ``None`` means neither.  One rule
+decides what a claim covers: k = 1..min(k_max, cap, bound unless
+unsafe).
 
 ``run_all_checks`` builds one ``SemiringCtx`` per k, shared by every
 claim, and reports a claim's first problem as ``k=K: <problem>``.
@@ -25,13 +24,13 @@ from itertools import product
 from typing import Callable, Optional
 
 from . import graphs, ideals, series
-from .core import LAW_CHECK_BOUND, MANY, SemiringCtx, fin, verify_laws
+from .bounds import BOUNDS
+from .core import MANY, SemiringCtx, fin, verify_laws
 
 # window sweep is cubic in window count; depth 5 keeps verify-all snappy
 _SWEEP_WINDOW_DEPTH = 5
 _SWEEP_POLY_K = 4
 _SWEEP_WINDOW_K = 3
-_LOCALIZE_SWEEP_BOUND = 10
 
 
 @dataclass(frozen=True)
@@ -51,7 +50,7 @@ def _maximal(ctx: SemiringCtx) -> int:
 
 
 def _laws(ctx: SemiringCtx) -> Optional[str]:
-    for report in verify_laws(ctx, max_k=None):
+    for report in verify_laws(ctx):
         if not report.holds:
             return f"law {report.law} fails at ({report.render_counterexample()})"
     return None
@@ -76,7 +75,7 @@ def _graph_girth(ctx: SemiringCtx) -> Optional[str]:
 def _graph_clique(ctx: SemiringCtx) -> Optional[str]:
     k = ctx.k
     g = graphs.IndigenousGraph(ctx)
-    omega = graphs.clique_number(g, max_k=None)
+    omega = graphs.clique_number(g)
     # m and the run s..k, with s the least s where s * (s + 1) > k
     s = 1
     while s * (s + 1) <= k:
@@ -94,15 +93,15 @@ def _graph_clique(ctx: SemiringCtx) -> Optional[str]:
 
 def _graph_chromatic(ctx: SemiringCtx) -> Optional[str]:
     g = graphs.IndigenousGraph(ctx)
-    omega = graphs.clique_number(g, max_k=None)
-    chi = graphs.chromatic_number(g, max_k=None)
+    omega = graphs.clique_number(g)
+    chi = graphs.chromatic_number(g)
     if chi != omega:
         return f"chromatic number {chi}, clique number {omega}"
     return None
 
 
 def _ideal_lattice(ctx: SemiringCtx) -> Optional[str]:
-    lattice = ideals.enumerate_ideals(ctx, max_k=None)
+    lattice = ideals.enumerate_ideals(ctx)
     smallest = 1 | 1 << ctx.encode(MANY)  # {0, m}
     if smallest not in {i.mask for i in lattice}:
         return "{0, m} is not an ideal"
@@ -116,14 +115,14 @@ def _ideal_lattice(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _ideal_primes(ctx: SemiringCtx) -> Optional[str]:
-    primes = [i for i in ideals.enumerate_ideals(ctx, max_k=None) if ideals.is_prime(ctx, i)]
+    primes = [i for i in ideals.enumerate_ideals(ctx) if ideals.is_prime(ctx, i)]
     if {p.mask for p in primes} != {1, _maximal(ctx)}:
         return f"primes are {sorted(p.render() for p in primes)}"
     return None
 
 
 def _ideal_austere(ctx: SemiringCtx) -> Optional[str]:
-    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+    for ideal in ideals.enumerate_ideals(ctx):
         want = ideal.is_zero or ideal.is_whole
         if ideals.is_subtractive(ctx, ideal) != want:
             return f"subtractivity of {ideal.render()} is {not want}"
@@ -132,7 +131,7 @@ def _ideal_austere(ctx: SemiringCtx) -> Optional[str]:
 
 def _ideal_radicals(ctx: SemiringCtx) -> Optional[str]:
     maximal = _maximal(ctx)
-    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+    for ideal in ideals.enumerate_ideals(ctx):
         want = ideal.mask if ideal.is_zero or ideal.is_whole else maximal
         if ideals.radical(ctx, ideal).mask != want:
             return f"radical of {ideal.render()} is wrong"
@@ -153,7 +152,7 @@ def _ideal_principal_primes(ctx: SemiringCtx) -> Optional[str]:
 
 def _ideal_maximal(ctx: SemiringCtx) -> Optional[str]:
     maximal = _maximal(ctx)
-    for ideal in ideals.enumerate_ideals(ctx, max_k=None):
+    for ideal in ideals.enumerate_ideals(ctx):
         want = ideal.mask == maximal
         if ideals.is_maximal(ctx, ideal) != want:
             return f"maximality of {ideal.render()} is {not want}"
@@ -161,7 +160,7 @@ def _ideal_maximal(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _spectrum(ctx: SemiringCtx) -> Optional[str]:
-    view = ideals.spectrum(ctx, max_k=None)
+    view = ideals.spectrum(ctx)
     if not view.is_sierpinski:
         return f"spectrum has {len(view.points)} points and {len(view.closed_sets)} closed sets"
     return None
@@ -194,7 +193,7 @@ def _localization(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _ideal_semiring(ctx: SemiringCtx) -> Optional[str]:
-    ids = ideals.ideal_semiring(ctx, max_k=None)
+    ids = ideals.ideal_semiring(ctx)
     if not ids.is_additively_idempotent():
         return "ideal sum is not idempotent"
     if not ids.is_zerosumfree():
@@ -218,7 +217,7 @@ def _ideal_semiring(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _nilpotency(ctx: SemiringCtx) -> Optional[str]:
-    idx = ideals.nilpotency_index(ctx, max_k=None)
+    idx = ideals.nilpotency_index(ctx)
     guarantee = 1
     while (1 << guarantee) <= ctx.k:
         guarantee += 1
@@ -280,7 +279,7 @@ def _quadratics(ctx: SemiringCtx) -> Optional[str]:
     for alpha in ctx.nonzero_elements():
         for beta in ctx.elements():
             closed = series.quadratic_irreducible(ctx, alpha, beta)
-            witness = series.factorization_oracle(series.quadratic(ctx, alpha, beta), max_k=None)
+            witness = series.factorization_oracle(series.quadratic(ctx, alpha, beta))
             if closed != (witness is None):
                 return (
                     "closed form and oracle disagree at "
@@ -289,39 +288,37 @@ def _quadratics(ctx: SemiringCtx) -> Optional[str]:
     return None
 
 
-_IDEALS = ideals.IDEAL_ENUM_BOUND
-_GRAPHS = graphs.EXACT_SEARCH_BOUND
-
-# (name, tag, predicate, bound lifted by unsafe, cap never lifted)
+# (name, tag, predicate, search in BOUNDS whose bound unsafe lifts, cap never lifted)
 _CHECKS = (
-    ("semiring-laws", "core.laws", _laws, LAW_CHECK_BOUND, None),
+    ("semiring-laws", "core.laws", _laws, "laws", None),
     ("graph-diameter", "graphs.diameter", _graph_diameter, None, None),
     ("graph-girth", "graphs.girth", _graph_girth, None, None),
-    ("graph-clique", "graphs.clique", _graph_clique, _GRAPHS, None),
-    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, _GRAPHS, None),
-    ("ideal-lattice", "ideals.lattice", _ideal_lattice, _IDEALS, None),
-    ("ideal-primes", "ideals.primes", _ideal_primes, _IDEALS, None),
-    ("ideal-austere", "ideals.subtractive", _ideal_austere, _IDEALS, None),
-    ("ideal-radicals", "ideals.radical", _ideal_radicals, _IDEALS, None),
-    ("ideal-principal-primes", "ideals.principal-primes", _ideal_principal_primes, _IDEALS, None),
-    ("ideal-maximal", "ideals.maximal", _ideal_maximal, _IDEALS, None),
-    ("spectrum-sierpinski", "ideals.spectrum", _spectrum, _IDEALS, None),
-    ("localization", "ideals.localization", _localization, _LOCALIZE_SWEEP_BOUND, None),
-    ("ideal-semiring", "ideals.semiring", _ideal_semiring, _IDEALS, None),
-    ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, _IDEALS, None),
+    ("graph-clique", "graphs.clique", _graph_clique, "clique", None),
+    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, "chromatic", None),
+    ("ideal-lattice", "ideals.lattice", _ideal_lattice, "ideals", None),
+    ("ideal-primes", "ideals.primes", _ideal_primes, "ideals", None),
+    ("ideal-austere", "ideals.subtractive", _ideal_austere, "ideals", None),
+    ("ideal-radicals", "ideals.radical", _ideal_radicals, "ideals", None),
+    ("ideal-principal-primes", "ideals.principal-primes", _ideal_principal_primes, "ideals", None),
+    ("ideal-maximal", "ideals.maximal", _ideal_maximal, "ideals", None),
+    ("spectrum-sierpinski", "ideals.spectrum", _spectrum, "ideals", None),
+    ("localization", "ideals.localization", _localization, "localization", None),
+    ("ideal-semiring", "ideals.semiring", _ideal_semiring, "ideals", None),
+    ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, "ideals", None),
     ("poly-units", "series.units", _poly_units, None, _SWEEP_POLY_K),
     ("poly-idempotents", "series.idempotents", _poly_idempotents, None, _SWEEP_POLY_K),
     ("degree-morphism", "series.degree", _degree_morphism, None, _SWEEP_POLY_K),
     ("window-idempotency", "series.windows", _window_idempotency, None, _SWEEP_WINDOW_K),
-    ("quadratic-irreducibility", "series.quadratics", _quadratics, series.ORACLE_BOUND, None),
+    ("quadratic-irreducibility", "series.quadratics", _quadratics, "oracle", None),
 )
 
 
 def _run(check: tuple, k_max: int, unsafe: bool, ctx_at: Callable[[int], SemiringCtx]) -> Claim:
     """One claim over k = 1..min(k_max, cap, bound unless unsafe), with
     ``ctx_at(k)`` the semiring of order k."""
-    name, tag, predicate, bound, cap = check
-    top = min(n for n in (k_max, cap, None if unsafe else bound) if n is not None)
+    name, tag, predicate, search, cap = check
+    bound = None if unsafe or search is None else BOUNDS[search][0]
+    top = min(n for n in (k_max, cap, bound) if n is not None)
     try:
         for k in range(1, top + 1):
             problem = predicate(ctx_at(k))

@@ -21,16 +21,8 @@ import sys
 from typing import Optional
 
 from . import checks, graphs, ideals, series
-from .core import (
-    LAW_CHECK_BOUND,
-    BoundExceededError,
-    ContextMismatchError,
-    Elem,
-    SemiringCtx,
-    bound_limit,
-    check_bound,
-    verify_laws,
-)
+from .bounds import BOUNDS, BoundExceededError
+from .core import ContextMismatchError, Elem, SemiringCtx, verify_laws
 
 EXIT_OK = 0
 EXIT_VIOLATED = 1
@@ -101,6 +93,14 @@ def _emit(payload: dict, claims: list, as_json: bool, status: Optional[str] = No
     return EXIT_OK if status == "ok" else EXIT_VIOLATED
 
 
+def _refuse(search: str, args) -> None:
+    """Refuse k past the bound of ``search`` in ``BOUNDS`` (exit 3) unless
+    ``--unsafe-bound`` lifts it; called just before the search runs."""
+    bound, text = BOUNDS[search]
+    if args.k > bound and not args.unsafe_bound:
+        raise BoundExceededError(f"{text} bounded at k <= {bound}, got k={args.k}")
+
+
 def _render_table_text(ctx: SemiringCtx, rows) -> list:
     labels = [e.render() for e in ctx.elements()]
     width = max(len(s) for s in labels)
@@ -164,7 +164,8 @@ def _cmd_table(args) -> int:
 
 def _cmd_laws(args) -> int:
     ctx = SemiringCtx(args.k)
-    reports = verify_laws(ctx, max_k=bound_limit(LAW_CHECK_BOUND, args.unsafe_bound))
+    _refuse("laws", args)
+    reports = verify_laws(ctx)
     claims = []
     for r in reports:
         detail = "" if r.holds else f"counterexample: {r.render_counterexample()}"
@@ -174,13 +175,12 @@ def _cmd_laws(args) -> int:
 
 
 def _cmd_graph(args) -> int:
-    max_k = bound_limit(graphs.EXACT_SEARCH_BOUND, args.unsafe_bound)
     wanted = [name for name in ("diameter", "girth", "clique", "chromatic") if getattr(args, name)]
     if not wanted and not args.edges:
         wanted = ["diameter", "girth", "clique", "chromatic"]
-    searches = [name for name in ("clique", "chromatic") if name in wanted]
-    if searches:  # refuse an over-bound search before computing any other invariant
-        check_bound(args.k, max_k, f"exact {searches[0]} search is")
+    for search in ("clique", "chromatic"):  # before computing any invariant
+        if search in wanted:
+            _refuse(search, args)
     g = graphs.build_graph(args.k)
 
     def enc(x):
@@ -192,9 +192,9 @@ def _cmd_graph(args) -> int:
     if "girth" in wanted:
         payload["girth"] = enc(graphs.girth(g))
     if "clique" in wanted:
-        payload["clique_number"] = graphs.clique_number(g, max_k=max_k)
+        payload["clique_number"] = graphs.clique_number(g)
     if "chromatic" in wanted:
-        payload["chromatic_number"] = graphs.chromatic_number(g, max_k=max_k)
+        payload["chromatic_number"] = graphs.chromatic_number(g)
     if args.edges:
         if args.json:
             payload["adjacency"] = g.adjacency_map()
@@ -216,9 +216,8 @@ def _cmd_ideals(args) -> int:
             radical=rad.render() if not args.json else rad.to_json(),
         )
         return _emit(payload, [], args.json)
-    lattice = ideals.enumerate_ideals(
-        ctx, max_k=bound_limit(ideals.IDEAL_ENUM_BOUND, args.unsafe_bound)
-    )
+    _refuse("ideals", args)
+    lattice = ideals.enumerate_ideals(ctx)
     payload["count"] = len(lattice)
     if args.list:
         payload["ideals"] = (
@@ -234,7 +233,8 @@ def _cmd_ideals(args) -> int:
 
 def _cmd_spec(args) -> int:
     ctx = SemiringCtx(args.k)
-    view = ideals.spectrum(ctx, max_k=bound_limit(ideals.IDEAL_ENUM_BOUND, args.unsafe_bound))
+    _refuse("ideals", args)
+    view = ideals.spectrum(ctx)
     data = view.to_json()
     payload = {
         "k": args.k,
@@ -338,9 +338,8 @@ def _cmd_irreducible(args) -> int:
     }
     claims = []
     if args.oracle:
-        witness = series.factorization_oracle(
-            f, max_k=bound_limit(series.ORACLE_BOUND, args.unsafe_bound)
-        )
+        _refuse("oracle", args)
+        witness = series.factorization_oracle(f)
         if witness is None:
             payload["witness"] = None
         else:

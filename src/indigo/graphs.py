@@ -17,15 +17,11 @@ isolated and dominating vertices gives all four invariants exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .core import MANY, Elem, SemiringCtx, check_bound
-
-# clique and chromatic queries above it still exit 3, though the peeling is O(k) bitset steps
-EXACT_SEARCH_BOUND = 24
+from .core import MANY, Elem, SemiringCtx
 
 INFINITE = math.inf
 
@@ -149,46 +145,13 @@ def girth(g: IndigenousGraph) -> Union[int, float]:
     return 3 if sum(_peel(g)) >= 2 else INFINITE
 
 
-def clique_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
+def clique_number(g: IndigenousGraph) -> int:
     """Size of a largest clique: the dominating removals and the last vertex."""
-    check_bound(g.k, max_k, "exact clique search is")
     return sum(_peel(g)) + 1
 
 
-def chromatic_number(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> int:
+def chromatic_number(g: IndigenousGraph) -> int:
     """Least number of colors in a proper coloring: one per dominating
     removal, and one shared by the independent rest."""
-    check_bound(g.k, max_k, "exact chromatic search is")
     return sum(_peel(g)) + 1
 
-
-@dataclass(frozen=True)
-class GraphInvariants:
-    k: int
-    diameter: Union[int, float]
-    girth: Union[int, float]
-    clique_number: int
-    chromatic_number: int
-
-    def to_json(self) -> dict:
-        def enc(x):
-            return "infinity" if x == INFINITE else x
-
-        return {
-            "k": self.k,
-            "diameter": enc(self.diameter),
-            "girth": enc(self.girth),
-            "clique_number": self.clique_number,
-            "chromatic_number": self.chromatic_number,
-        }
-
-
-def invariants(g: IndigenousGraph, max_k: Optional[int] = EXACT_SEARCH_BOUND) -> GraphInvariants:
-    """All four exact invariants of g."""
-    return GraphInvariants(
-        k=g.k,
-        diameter=diameter(g),
-        girth=girth(g),
-        clique_number=clique_number(g, max_k=max_k),
-        chromatic_number=chromatic_number(g, max_k=max_k),
-    )

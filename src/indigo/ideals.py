@@ -16,8 +16,7 @@ and in views such as ``Ideal.members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
-ideal found rather than a test of every subset; the default bound keeps
-k <= 16.
+ideal found rather than a test of every subset.
 
 ``LocalizedSemiring`` implements fractions over a multiplicatively
 closed set U through the relation a/u = b/v iff t*a*v = t*b*u for some
@@ -31,13 +30,11 @@ takes (k + 2) closures per ideal plus sum-table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 import numpy as np
 
-from .core import ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound
-
-IDEAL_ENUM_BOUND = 16
+from .core import ZERO, ContextMismatchError, Elem, SemiringCtx
 
 
 def _codes(mask: int):
@@ -194,14 +191,12 @@ def _next_closures(close, n: int):
         yield mask
 
 
-def enumerate_ideals(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> list:
+def enumerate_ideals(ctx: SemiringCtx) -> list:
     """Every ideal, in canonical order (cardinality, then lexicographic).
 
-    NextClosure over the ideal closure: at most k + 2 closures per ideal.
-    The lattice itself grows fast with k, so the default bound keeps
-    k <= 16; ``max_k=None`` lifts it.
+    NextClosure over the ideal closure: at most k + 2 closures per ideal,
+    though the lattice itself grows fast with k.
     """
-    check_bound(ctx.k, max_k, "ideal enumeration is")
     masks = _next_closures(_Closure(ctx), ctx.size)
     return sorted((Ideal(ctx, m) for m in masks), key=Ideal.sort_key)
 
@@ -291,9 +286,9 @@ class SpectrumView:
         }
 
 
-def spectrum(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> SpectrumView:
+def spectrum(ctx: SemiringCtx) -> SpectrumView:
     """Prime ideals with closed sets V(I) = primes containing I."""
-    ideals = enumerate_ideals(ctx, max_k=max_k)
+    ideals = enumerate_ideals(ctx)
     points = tuple(p for p in ideals if is_prime(ctx, p))
     closed = frozenset(
         frozenset(p for p in points if ideal.issubset(p)) for ideal in ideals
@@ -450,21 +445,6 @@ class LocalizedSemiring:
             for classes, table in zip((self.add_table, self.mul_table), self.ctx.tables())
         )
 
-    def to_json(self) -> dict:
-        return {
-            "unit_set": [u.to_json() for u in sorted(self.unit_set, key=Elem.sort_key)],
-            "class_count": self.class_count,
-            "classes": [
-                [[a.to_json(), u.to_json()] for (a, u) in self.class_members(ci)]
-                for ci in range(self.class_count)
-            ],
-            "zero_class": self.zero_index,
-            "one_class": self.one_index,
-            "boolean": self.is_boolean(),
-            "entire": self.is_entire(),
-            "zerosumfree": self.is_zerosumfree(),
-        }
-
 
 def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     """The semiring of fractions of ctx over the multiplicatively closed set U."""
@@ -481,9 +461,9 @@ class IdealSemiring:
     arithmetic fault: the constructor raises ``RuntimeError``.
     """
 
-    def __init__(self, ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND):
+    def __init__(self, ctx: SemiringCtx):
         self.ctx = ctx
-        self.ideals = tuple(enumerate_ideals(ctx, max_k=max_k))
+        self.ideals = tuple(enumerate_ideals(ctx))
         index = self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
         for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (ctx.size - 1))):
             if mask not in index:  # only under a faulty rule
@@ -536,29 +516,19 @@ class IdealSemiring:
             if i != self.zero_index
         )
 
-    def to_json(self) -> dict:
-        return {
-            "k": self.ctx.k,
-            "count": self.size,
-            "ideals": [ideal.to_json() for ideal in self.ideals],
-            "additively_idempotent": self.is_additively_idempotent(),
-            "zerosumfree": self.is_zerosumfree(),
-            "entire": self.is_entire(),
-        }
 
-
-def ideal_semiring(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> IdealSemiring:
+def ideal_semiring(ctx: SemiringCtx) -> IdealSemiring:
     """The semiring of ideals of ctx."""
-    return IdealSemiring(ctx, max_k=max_k)
+    return IdealSemiring(ctx)
 
 
-def nilpotency_index(ctx: SemiringCtx, max_k: Optional[int] = IDEAL_ENUM_BOUND) -> int:
+def nilpotency_index(ctx: SemiringCtx) -> int:
     """Least n for which every product of n nonzero proper ideals is {0, m}.
 
     Such an n always exists; 2^n > k is a guaranteed upper bound because
     an n-fold product of elements >= 2 then exceeds k.
     """
-    ids = IdealSemiring(ctx, max_k=max_k)
+    ids = IdealSemiring(ctx)
     factors = [i for i in range(ids.size) if i not in (ids.zero_index, ids.one_index)]
     current = set(factors)
     n = 1

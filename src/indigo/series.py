@@ -31,9 +31,7 @@ from dataclasses import dataclass
 from itertools import product, zip_longest
 from typing import Iterable, Optional, Sequence, Union
 
-from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, check_bound, fin
-
-ORACLE_BOUND = 6
+from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, fin
 
 NEG_INFINITY = float("-inf")
 
@@ -178,10 +176,6 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
     return _trimmed(ctx, [codes.get(i, 0) for i in range(max(codes) + 1)])
 
 
-def poly_from_json(ctx: SemiringCtx, data: Sequence) -> Poly:
-    return make_poly(ctx, [Elem.from_json(x) for x in data])
-
-
 @dataclass(frozen=True)
 class TruncSeries:
     """A power series window: element codes for degrees 0..depth, no trimming."""
@@ -275,10 +269,6 @@ def make_series(ctx: SemiringCtx, depth: int, coeffs: Iterable[Elem]) -> TruncSe
     return TruncSeries(ctx, depth, tuple(codes))
 
 
-def series_from_json(ctx: SemiringCtx, data: dict) -> TruncSeries:
-    return make_series(ctx, int(data["depth"]), [Elem.from_json(x) for x in data["coeffs"]])
-
-
 def ts_is_idempotent_window(f: TruncSeries) -> bool:
     """Window idempotency, computed both structurally and by squaring.
 
@@ -348,16 +338,14 @@ def quadratic_irreducible(ctx: SemiringCtx, alpha: Elem, beta: Elem) -> bool:
     return False
 
 
-def factorization_oracle(f: Poly, max_k: Optional[int] = ORACLE_BOUND) -> Optional[tuple]:
+def factorization_oracle(f: Poly) -> Optional[tuple]:
     """Search every factorization of f into two nonunit factors.
 
     Returns the first witness pair in a fixed enumeration order, or
-    ``None`` when f is irreducible.  Exhaustive over coefficient tuples,
-    so the bound keeps k <= ``max_k`` (``None``: no bound) and the
-    degree at most 2.
+    ``None`` when f is irreducible.  Exhaustive over coefficient tuples:
+    it covers degree <= 2 and tries up to 2 (k + 2)^4 candidate pairs.
     """
     ctx = f.ctx
-    check_bound(ctx.k, max_k, "factorization search is exhaustive;")
     deg = f.degree()
     if deg == NEG_INFINITY:
         raise ValueError("the zero polynomial is outside the oracle's scope")

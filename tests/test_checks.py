@@ -2,11 +2,13 @@
 claim lines against the ones the benchmark records."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
 
 from indigo import checks
+from indigo.bounds import BOUNDS
 from indigo.cli import EXIT_OK, EXIT_VIOLATED, main
 from indigo.core import MUTANT_ENV
 
@@ -78,3 +80,30 @@ def test_sweep_claim_lines_match_the_benchmark_record(capsys, monkeypatch, mutan
     lines = tuple(l for l in capsys.readouterr().out.splitlines() if l.startswith("claim "))
     assert lines == _recorded_sweep_claims()[mutant]
     assert code == (EXIT_OK if mutant is None else EXIT_VIOLATED)
+
+
+def readme_claim_limits():
+    """Claim name -> the "k <= N" its README bullet states (None: "no
+    limit"), from the list under README's "Command line" heading."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    items = section.split("own limit:", 1)[1].strip().split("\n\n", 1)[0]
+    bullets = re.split(r"^- ", items, flags=re.M)[1:]
+    names = [check[0] for check in checks._CHECKS]
+    limits = {}
+    for bullet in bullets:
+        bullet = " ".join(bullet.split())
+        quoted = re.findall(r"`([a-z-]+)`", bullet)
+        if " through " in bullet:
+            quoted = names[names.index(quoted[0]) : names.index(quoted[1]) + 1]
+        limit = None if "no limit" in bullet else int(re.search(r"k <= (\d+)", bullet)[1])
+        limits.update(dict.fromkeys(quoted, limit))
+    return limits
+
+
+def test_readme_states_each_claims_limit():
+    want = {}
+    for name, _, _, search, cap in checks._CHECKS:
+        limits = [n for n in (cap, search and BOUNDS[search][0]) if n is not None]
+        want[name] = min(limits, default=None)
+    assert readme_claim_limits() == want

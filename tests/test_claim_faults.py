@@ -5,14 +5,15 @@ K = 3 (``reference.cell_fault``); there are 200 of them.  Each claim's
 own check runs alone with k_max = 3, so the fault shows at its last k.
 This is mutation analysis of the sweep (DeMillo, Lipton and Sayward,
 "Hints on test data selection", 1978): a claim that no fault can fail
-checks nothing.
+checks nothing.  The laws behind ``semiring-laws`` get their own
+per-law counts, since the canonical-map law alone fails under every fault.
 """
 
 import pytest
 from reference import cell_corruptions, cell_fault
 
 from indigo import checks
-from indigo.core import SemiringCtx
+from indigo.core import LAW_NAMES, SemiringCtx, verify_laws
 
 K = 3
 
@@ -79,6 +80,24 @@ FAILURE_COUNTS = {
     "quadratic-irreducibility": 58,
 }
 
+# how many of the 200 faults fail each law of ``verify_laws``
+LAW_FAILURE_COUNTS = {
+    "add-commutative": 80,
+    "add-associative": 98,
+    "mul-commutative": 80,
+    "mul-associative": 87,
+    "distributive": 175,
+    "one-identity": 36,
+    "zero-identity": 36,
+    "zero-absorbing": 36,
+    "entire": 16,
+    "zerosumfree": 24,
+    "add-order-compatible": 70,
+    "mul-order-compatible": 64,
+    "total-order": 84,
+    "canonical-map-homomorphism": 200,
+}
+
 
 # faults under which the ideal semiring misses {0}, {0, m} or the maximal ideal
 IDEAL_SEMIRING_FAULTS = {
@@ -112,6 +131,15 @@ def test_every_claim_is_failed_by_its_witness_fault(monkeypatch):
         assert (claim.passed, claim.detail) == (False, detail), name
 
 
+def test_total_order_is_failed_by_its_witness_fault(monkeypatch):
+    # with 1 + 1 = 3 no sum 1 + c is 2, so 1 <= 2 fails in the natural order;
+    # of the other laws only the canonical map sees the fault
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("add", 1, 1, 3, K))
+    reports = verify_laws(SemiringCtx(K))
+    failed = {r.law: r.render_counterexample() for r in reports if not r.holds}
+    assert failed == {"total-order": "1, 2", "canonical-map-homomorphism": "1, 1"}
+
+
 @pytest.mark.parametrize("cell", IDEAL_SEMIRING_FAULTS)
 def test_ideal_semiring_names_the_missing_ideal(monkeypatch, cell):
     (check,) = [check for check in checks._CHECKS if check[0] == "ideal-semiring"]
@@ -140,3 +168,14 @@ def test_claim_fault_matrix_counts(monkeypatch):
             counts[check[0]] += not run_claim(check).passed
     assert faults == 200
     assert counts == FAILURE_COUNTS
+
+
+@pytest.mark.slow
+def test_law_fault_matrix_counts(monkeypatch):
+    assert list(LAW_FAILURE_COUNTS) == list(LAW_NAMES)
+    counts = dict.fromkeys(LAW_NAMES, 0)
+    for cell in cell_corruptions(K):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        for report in verify_laws(SemiringCtx(K)):
+            counts[report.law] += not report.holds
+    assert counts == LAW_FAILURE_COUNTS

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import io
 import json
 import os
@@ -15,7 +16,8 @@ from hypothesis import strategies as st
 from reference import cell_fault
 
 import indigo
-from indigo import checks, cli, graphs, ideals
+from indigo import checks, cli, graphs
+from indigo.bounds import BOUNDS
 from indigo.cli import (
     EXIT_BOUND,
     EXIT_INTERNAL,
@@ -440,7 +442,7 @@ def test_verify_all_catches_mutants(capsys, monkeypatch):
 )
 def test_unsafe_sweep_lifts_the_ideal_bound(name):
     (check,) = [check for check in checks._CHECKS if check[0] == name]
-    claim = checks._run(check, ideals.IDEAL_ENUM_BOUND + 1, True, indigo.SemiringCtx)
+    claim = checks._run(check, indigo.IDEAL_ENUM_BOUND + 1, True, indigo.SemiringCtx)
     assert (claim.passed, claim.detail) == (True, "")
 
 
@@ -449,6 +451,75 @@ def test_unknown_mutant_is_a_usage_error(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "laws", "2")
     assert code == EXIT_USAGE
     assert "mutant" in err
+
+
+# --- the bound table ----------------------------------------------------------
+
+# the subcommands that run each search of ``BOUNDS`` the CLI refuses, at order K
+BOUNDED_COMMANDS = {
+    "laws": [("laws", "K")],
+    "clique": [("graph", "K", "--clique")],
+    "chromatic": [("graph", "K", "--chromatic")],
+    "ideals": [("ideals", "K", "--primes"), ("spec", "K")],
+    "oracle": [("irreducible", "K", "--alpha", "1", "--beta", "1", "--oracle")],
+}
+
+
+def test_every_cli_bound_comes_from_the_table(capsys):
+    assert set(BOUNDED_COMMANDS) == {name for name, (_, text) in BOUNDS.items() if text}
+    for name, commands in BOUNDED_COMMANDS.items():
+        bound, text = BOUNDS[name]
+        refusal = f"{text} bounded at k <= {bound}, got k={bound + 1}"
+        for command in commands:
+            at, past = ([str(k) if a == "K" else a for a in command] for k in (bound, bound + 1))
+            assert run_cli(capsys, *at)[0] == EXIT_OK, at
+            assert run_cli(capsys, *past) == (
+                EXIT_BOUND, f"status: bound-exceeded\nerror: {refusal}\n", ""
+            ), past
+            code, report, err = run_json(capsys, *past)
+            assert (code, report, err) == (
+                EXIT_BOUND, {"status": "bound-exceeded", "error": refusal}, ""
+            ), past
+            code, _, err = run_cli(capsys, *past, "--unsafe-bound")
+            assert (code, err) == (EXIT_OK, ""), past
+
+
+def test_usage_errors_and_refusals_keep_their_order(capsys, monkeypatch):
+    # a malformed quadratic is a usage error before the oracle's bound is read
+    code, out, err = run_cli(capsys, "irreducible", "7", "--alpha", "0", "--beta", "1", "--oracle")
+    assert (code, out, err) == (EXIT_USAGE, "", "error: leading coefficient must be nonzero\n")
+
+    def never(*args):
+        raise AssertionError("graph work ran before the bound check")
+
+    for name in ("build_graph", "diameter", "girth"):
+        monkeypatch.setattr(graphs, name, never)
+    assert run_cli(capsys, "graph", "25", "--clique", "--girth") == (
+        EXIT_BOUND,
+        "status: bound-exceeded\nerror: exact clique search is bounded at k <= 24, got k=25\n",
+        "",
+    )
+
+
+def test_only_the_front_ends_bound_a_search():
+    """Bounds are front-end policy: outside ``bounds.py`` and ``cli.py`` no
+    function takes ``max_k`` and nothing raises ``BoundExceededError``, and
+    no library module reads the bound table."""
+    found = set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arg) and node.arg == "max_k":
+                found.add((path.name, "max_k"))
+            if isinstance(node, ast.Raise) and "BoundExceededError" in ast.unparse(node):
+                found.add((path.name, "raise"))
+            if isinstance(node, ast.ImportFrom) and node.module == "bounds":
+                found.add((path.name, "import"))
+    assert found == {
+        ("cli.py", "raise"),
+        ("cli.py", "import"),
+        ("checks.py", "import"),
+        ("__init__.py", "import"),
+    }
 
 
 # --- argparse plumbing and determinism ----------------------------------------

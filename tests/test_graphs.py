@@ -4,10 +4,9 @@ import networkx as nx
 import pytest
 from reference import cell_corruptions, cell_fault, ref_mul
 
-from indigo import checks
-from indigo.core import MANY, BoundExceededError, SemiringCtx, fin
+from indigo import EXACT_SEARCH_BOUND, checks
+from indigo.core import MANY, SemiringCtx, fin
 from indigo.graphs import (
-    EXACT_SEARCH_BOUND,
     INFINITE,
     IndigenousGraph,
     build_graph,
@@ -15,7 +14,6 @@ from indigo.graphs import (
     clique_number,
     diameter,
     girth,
-    invariants,
 )
 
 
@@ -34,16 +32,16 @@ def assert_distances_match_networkx(g: IndigenousGraph, h: nx.Graph):
     assert girth(g) == nx.girth(h)  # both give a forest girth math.inf
 
 
-def assert_clique_matches_networkx(g: IndigenousGraph, h: nx.Graph, max_k=EXACT_SEARCH_BOUND):
-    assert clique_number(g, max_k=max_k) == max(len(c) for c in nx.find_cliques(h))
+def assert_clique_matches_networkx(g: IndigenousGraph, h: nx.Graph):
+    assert clique_number(g) == max(len(c) for c in nx.find_cliques(h))
 
 
-def assert_coloring_matches_greedy(g: IndigenousGraph, h: nx.Graph, max_k=EXACT_SEARCH_BOUND):
+def assert_coloring_matches_greedy(g: IndigenousGraph, h: nx.Graph):
     # a proper coloring with as many colors as the largest clique proves chi = omega
     coloring = nx.greedy_color(h, strategy="largest_first")
     assert all(coloring[u] != coloring[v] for u, v in h.edges)
     omega = max(len(c) for c in nx.find_cliques(h))
-    assert len(set(coloring.values())) == omega == chromatic_number(g, max_k=max_k)
+    assert len(set(coloring.values())) == omega == chromatic_number(g)
 
 
 def test_order_one_is_a_single_edge():
@@ -186,8 +184,8 @@ def test_invariants_against_networkx_beyond_the_bound(mutant):
         g = build_graph(k, mutant=mutant)
         h = to_networkx(g)
         assert_distances_match_networkx(g, h)
-        assert_clique_matches_networkx(g, h, max_k=None)
-        assert_coloring_matches_greedy(g, h, max_k=None)
+        assert_clique_matches_networkx(g, h)
+        assert_coloring_matches_greedy(g, h)
 
 
 def has_induced_p4_c4_or_2k2(g: IndigenousGraph) -> bool:
@@ -262,21 +260,12 @@ def test_every_graph_claim_is_failed_by_a_cell_corruption(monkeypatch):
         assert _SEARCH_FAILURES[name] <= failed, name
 
 
-def test_invariants_bundle():
-    inv = invariants(build_graph(4))
-    assert (inv.diameter, inv.girth, inv.clique_number, inv.chromatic_number) == (2, 3, 4, 4)
-    data = inv.to_json()
-    assert data["girth"] == 3
-    assert invariants(build_graph(2)).to_json()["girth"] == "infinity"
-
-
 def test_search_bound():
+    # the bound is front-end policy: the library computes past it
     g = build_graph(EXACT_SEARCH_BOUND + 1)
-    with pytest.raises(BoundExceededError):
-        clique_number(g)
-    with pytest.raises(BoundExceededError):
-        chromatic_number(g)
-    assert clique_number(g, max_k=EXACT_SEARCH_BOUND + 1) >= (EXACT_SEARCH_BOUND + 1) // 2 + 1
+    h = to_networkx(g)
+    assert_clique_matches_networkx(g, h)
+    assert_coloring_matches_greedy(g, h)
 
 
 def test_adjacency_map_render():

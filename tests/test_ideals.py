@@ -16,10 +16,9 @@ from reference import (
     ref_mul,
 )
 
-from indigo import checks, ideals
-from indigo.core import MANY, ZERO, BoundExceededError, SemiringCtx, fin
+from indigo import IDEAL_ENUM_BOUND, checks, ideals
+from indigo.core import MANY, ZERO, SemiringCtx, fin
 from indigo.ideals import (
-    IDEAL_ENUM_BOUND,
     Ideal,
     LocalizedSemiring,
     enumerate_ideals,
@@ -72,6 +71,30 @@ def brute_force_ideals(c):
             continue
         found.add(bits)
     return found
+
+
+def numerical_semigroup_masks(k):
+    """Exact oracle for the clean lattice: {0}, the whole semiring, and
+    {0, m} together with any T within {2, ..., k} closed under every sum
+    that stays <= k, which are the nonzero proper ideals (the setting of
+    numerical semigroups; Rosales and Garcia-Sanchez, 2009).  A plain scan
+    of the 2^(k-1) sets T; a value's bit is its code."""
+    window = (1 << k + 1) - 1  # the values 0..k
+    masks = {1, (1 << k + 2) - 1}
+    for bits in range(1 << k - 1):
+        t = bits << 2
+        rest = t
+        while rest and not (t << (rest & -rest).bit_length() - 1) & window & ~t:
+            rest &= rest - 1
+        if not rest:
+            masks.add(1 | 1 << k + 1 | t)
+    return masks
+
+
+@pytest.mark.parametrize("k", range(1, 21))
+def test_enumeration_matches_the_numerical_semigroup_oracle(k):
+    # from k = 17 on this is above the CLI's enumeration bound
+    assert {i.mask for i in enumerate_ideals(ctx(k))} == numerical_semigroup_masks(k)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
@@ -342,10 +365,9 @@ def test_spectrum_json_is_deterministic():
 
 
 def test_enumeration_bound():
-    with pytest.raises(BoundExceededError):
-        enumerate_ideals(ctx(IDEAL_ENUM_BOUND + 1))
-    lattice = enumerate_ideals(ctx(IDEAL_ENUM_BOUND + 1), max_k=IDEAL_ENUM_BOUND + 1)
-    assert lattice[0].is_zero
+    # the bound is front-end policy: the library enumerates past it
+    lattice = enumerate_ideals(ctx(IDEAL_ENUM_BOUND + 1))
+    assert len(lattice) == 1251 and lattice[0].is_zero
 
 
 # --- localization -----------------------------------------------------------

@@ -8,7 +8,6 @@ from reference import ref_add, ref_mul
 from indigo.core import (
     MANY,
     ZERO,
-    BoundExceededError,
     ContextMismatchError,
     SemiringCtx,
     fin,
@@ -22,10 +21,8 @@ from indigo.series import (
     make_poly,
     make_series,
     parse_poly,
-    poly_from_json,
     quadratic,
     quadratic_irreducible,
-    series_from_json,
     ts_is_idempotent_window,
 )
 
@@ -312,10 +309,11 @@ def test_parse_render_roundtrip():
         assert parse_poly(c, f.render()) == f
 
 
-def test_poly_json_roundtrip():
+def test_poly_to_json():
     c = SemiringCtx(3)
+    assert make_poly(c, (fin(2), ZERO, MANY)).to_json() == [2, 0, "m"]
     for f in all_polys(c, 2):
-        assert poly_from_json(c, f.to_json()) == f
+        assert f.to_json() == ["m" if x == c.size - 1 else x for x in f.codes]
 
 
 # --- truncated series --------------------------------------------------------
@@ -348,10 +346,10 @@ def test_window_product_truncates():
     assert cube_window.coeffs == (ZERO, ZERO, ZERO)
 
 
-def test_series_json_roundtrip():
+def test_series_to_json():
     c = SemiringCtx(2)
     s = make_series(c, 3, (fin(1), ZERO, MANY))
-    assert series_from_json(c, s.to_json()) == s
+    assert s.to_json() == {"depth": 3, "coeffs": [1, 0, "m", 0]}
 
 
 @pytest.mark.parametrize("k,depth", [(1, 4), (2, 3), (3, 2)])
@@ -454,10 +452,8 @@ def test_oracle_rejects_out_of_scope_inputs():
         factorization_oracle(Poly.zero(c))
     with pytest.raises(ValueError):
         factorization_oracle(make_poly(c, (ZERO, ZERO, ZERO, fin(1))))
-    big = SemiringCtx(7)
-    with pytest.raises(BoundExceededError):
-        factorization_oracle(Poly.x(big))
-    assert factorization_oracle(Poly.x(big), max_k=7) is None
+    # the bound is front-end policy: the library searches past it
+    assert factorization_oracle(Poly.x(SemiringCtx(7))) is None
 
 
 # --- algebraic laws under random inputs --------------------------------------
