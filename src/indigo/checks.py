@@ -20,14 +20,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
 from typing import Callable, Optional
+
+import numpy as np
 
 from . import graphs, ideals, series
 from .bounds import BOUNDS
 from .core import MANY, SemiringCtx, fin, verify_laws
 
-# window sweep is cubic in window count; depth 5 keeps verify-all snappy
+# (k + 2)^6 windows of depth 5, squared in one batched call per k
 _SWEEP_WINDOW_DEPTH = 5
 _SWEEP_POLY_K = 4
 _SWEEP_WINDOW_K = 3
@@ -226,65 +227,81 @@ def _nilpotency(ctx: SemiringCtx) -> Optional[str]:
     return None
 
 
-def _poly_pool(ctx: SemiringCtx):
-    return [series.make_poly(ctx, cs) for cs in product(ctx.elements(), repeat=3)]
+def _poly(ctx: SemiringCtx, row) -> series.Poly:
+    return series.make_poly(ctx, (ctx.decode(c) for c in row))
 
 
 def _poly_units(ctx: SemiringCtx) -> Optional[str]:
-    one = series.Poly.one(ctx)
-    constants = [series.Poly.constant(ctx, c) for c in ctx.elements()]
-    for f in _poly_pool(ctx):
-        # degree additivity confines inverses to constants
-        invertible = any((f * c) == one for c in constants)
-        if invertible != f.is_unit() or invertible != (f == one):
-            return f"unit status of {f.render()} is wrong"
+    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    one = np.zeros(3, dtype=pool.dtype)
+    one[0] = ctx.encode(ctx.one)
+    # degree additivity confines inverses to constants: f times each constant
+    products = series.convolve_batch(ctx, pool[:, None], np.arange(ctx.size)[None, :, None], 3)
+    invertible = (products == one).all(axis=2).any(axis=1)
+    # f is the unit 1 (Poly.is_unit) exactly when f equals the polynomial 1
+    wrong = invertible != (pool == one).all(axis=1)
+    if wrong.any():
+        return f"unit status of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
     return None
 
 
 def _poly_idempotents(ctx: SemiringCtx) -> Optional[str]:
-    allowed = {series.Poly.zero(ctx), series.Poly.one(ctx), series.Poly.constant(ctx, MANY)}
-    for f in _poly_pool(ctx):
-        if f.is_idempotent() != (f in allowed):
-            return f"idempotency of {f.render()} is wrong"
+    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    squares = series.convolve_batch(ctx, pool, pool, 5)
+    idempotent = (squares[:, :3] == pool).all(axis=1) & (squares[:, 3:] == 0).all(axis=1)
+    # the constants 0, 1 and m
+    allowed = np.isin(pool[:, 0], (0, ctx.encode(ctx.one), ctx.encode(MANY)))
+    allowed &= (pool[:, 1:] == 0).all(axis=1)
+    wrong = idempotent != allowed
+    if wrong.any():
+        return f"idempotency of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
     return None
 
 
 def _degree_morphism(ctx: SemiringCtx) -> Optional[str]:
-    pool = _poly_pool(ctx)
-    zero = series.Poly.zero(ctx)
-    for f in pool:
-        for g in pool:
-            if (f + g).degree() != max(f.degree(), g.degree()):
-                return f"degree of sum breaks at {f.render()}, {g.render()}"
-            fg = f * g
-            if fg.degree() != f.degree() + g.degree():
-                return f"degree of product breaks at {f.render()}, {g.render()}"
-            if f != zero and g != zero and fg == zero:
-                return f"zero divisors at {f.render()}, {g.render()}"
+    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    f, g = pool[:, None], pool[None]
+    # degree + 1, with 0 for the zero polynomial
+    lf, lg = series.code_lengths(f), series.code_lengths(g)
+    lsum = series.code_lengths(series.sum_batch(ctx, f, g))
+    lfg = series.code_lengths(series.convolve_batch(ctx, f, g, 5))
+    nonzero = (lf > 0) & (lg > 0)
+    problems = (
+        ("degree of sum breaks", lsum != np.maximum(lf, lg)),
+        ("degree of product breaks", lfg != np.where(nonzero, lf + lg - 1, 0)),
+        ("zero divisors", nonzero & (lfg == 0)),
+    )
+    broken = np.logical_or.reduce([bad for _, bad in problems])
+    if broken.any():
+        i, j = np.argwhere(broken)[0]
+        what = next(what for what, bad in problems if bad[i, j])
+        return f"{what} at {_poly(ctx, pool[i]).render()}, {_poly(ctx, pool[j]).render()}"
     return None
 
 
 def _window_idempotency(ctx: SemiringCtx) -> Optional[str]:
     depth = _SWEEP_WINDOW_DEPTH
-    for codes in product(range(ctx.size), repeat=depth + 1):
-        f = series.TruncSeries(ctx, depth, codes)
-        if f.squares_to_self() != f.has_idempotent_shape():
-            return f"idempotency tests disagree on {f.render()}"
+    windows = series.code_rows(ctx, depth + 1)
+    squares = series.convolve_batch(ctx, windows, windows, depth + 1)
+    wrong = (squares == windows).all(axis=1) != series.idempotent_shape(ctx, windows)
+    if wrong.any():
+        f = series.TruncSeries(ctx, depth, tuple(windows[wrong.argmax()].tolist()))
+        return f"idempotency tests disagree on {f.render()}"
     if not series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth).squares_to_self():
         return "generated window is not idempotent"
     return None
 
 
 def _quadratics(ctx: SemiringCtx) -> Optional[str]:
-    for alpha in ctx.nonzero_elements():
-        for beta in ctx.elements():
-            closed = series.quadratic_irreducible(ctx, alpha, beta)
-            witness = series.factorization_oracle(series.quadratic(ctx, alpha, beta))
-            if closed != (witness is None):
-                return (
-                    "closed form and oracle disagree at "
-                    f"alpha={alpha.render()}, beta={beta.render()}"
-                )
+    pairs = [(alpha, beta) for alpha in ctx.nonzero_elements() for beta in ctx.elements()]
+    quadratics = [series.quadratic(ctx, alpha, beta).codes for alpha, beta in pairs]
+    witnesses = series.first_factorizations(ctx, quadratics)
+    for (alpha, beta), witness in zip(pairs, witnesses):
+        if series.quadratic_irreducible(ctx, alpha, beta) != (witness is None):
+            return (
+                "closed form and oracle disagree at "
+                f"alpha={alpha.render()}, beta={beta.render()}"
+            )
     return None
 
 

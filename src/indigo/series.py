@@ -1,11 +1,14 @@
 """Polynomials and truncated power series over Indigenous semirings.
 
 Polynomials are dense tuples of element codes trimmed to canonical
-form, and every product (polynomial, window or oracle candidate) is one
-convolution over the Cayley table rows of ``ctx.table_rows()``, so a
-query pays O(k) per row it reads at any order k.  Elements appear
-only at the boundary: the ``coeffs`` view, rendering, JSON, and the
-builders such as ``make_poly`` and ``parse_poly``, which encode once.  The
+form.  A single product (a ``poly`` or ``series`` query, one window)
+is one scalar convolution over the Cayley table rows of
+``ctx.table_rows()``, so it pays O(k) per row it reads at any order k.
+Exhaustive searches multiply whole arrays of code rows at once through
+the dense tables of ``ctx.tables()`` (``convolve_batch``), with the
+scalar convolution's semantics row for row.  Elements appear only at
+the boundary: the ``coeffs`` view, rendering, JSON, and the builders
+such as ``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
 for max and absorbing for +, so degree is a morphism from multiplication
 and addition of polynomials into (max, +) arithmetic.
@@ -13,14 +16,16 @@ and addition of polynomials into (max, +) arithmetic.
 Truncated series are fixed windows of depth N: coefficients 0..N with
 multiplication cut off beyond the window.  Idempotent windows have a
 rigid shape (constant term 1 or m, every higher nonzero coefficient m,
-support additively closed inside the window); the structural test and
-the direct squaring test are both implemented and must agree.
+support additively closed inside the window); the structural test
+(``idempotent_shape``, on arrays of windows) and the direct squaring
+test are both implemented and must agree.
 
 Quadratic irreducibility over the order-k semiring has a closed form:
 with both coefficients finite and nonzero it reduces to coprimality,
 and with a saturated coefficient only the two mixed shapes with a unit
 partner coefficient resist factoring.  ``factorization_oracle`` checks
-the closed form independently by exhausting candidate factorizations.
+the closed form independently by exhausting candidate factorizations
+(``first_factorizations``, batched over the candidate partners).
 """
 
 from __future__ import annotations
@@ -28,8 +33,10 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import product, zip_longest
+from itertools import zip_longest
 from typing import Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, fin
 
@@ -55,6 +62,59 @@ def _convolve(ctx: SemiringCtx, f: Sequence[int], g: Sequence[int], n: int) -> l
             for j, b in enumerate(g[: n - i], i):
                 if b:
                     out[j] = add[out[j]][row[b]]
+    return out
+
+
+def code_dtype(ctx: SemiringCtx) -> np.dtype:
+    """The narrowest unsigned integer type holding every code of ctx."""
+    return np.min_scalar_type(ctx.size - 1)
+
+
+def code_rows(ctx: SemiringCtx, width: int) -> np.ndarray:
+    """Every row of ``width`` codes, in the product order of the tuples."""
+    shape = (ctx.size,) * width
+    return np.indices(shape, dtype=code_dtype(ctx)).reshape(width, -1).T
+
+
+def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
+    """``_convolve`` over whole arrays of code rows at once.
+
+    The last axis of f and g holds coefficients, lowest degree first; the
+    other axes broadcast.  Row for row the result is the first n codes of
+    the product, with zero terms skipped as in ``_convolve``, so a table
+    cell a + 0 or 0 * b is read exactly where the scalar product reads it.
+    """
+    dtype = code_dtype(ctx)
+    add, mul = (t.astype(dtype) for t in ctx.tables())
+    f, g = np.asarray(f, dtype=dtype), np.asarray(g, dtype=dtype)
+    out = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,), dtype=dtype)
+    for i in range(min(f.shape[-1], n)):
+        a = f[..., i]
+        for j in range(min(g.shape[-1], n - i)):
+            b = g[..., j]
+            slot = out[..., i + j]
+            out[..., i + j] = np.where((a != 0) & (b != 0), add[slot, mul[a, b]], slot)
+    return out
+
+
+def sum_batch(ctx: SemiringCtx, f, g) -> np.ndarray:
+    """``Poly.__add__`` over whole arrays of code rows of one width: each
+    trimmed pair is padded with 0 only up to the longer of the two, and
+    the slots past it stay 0."""
+    f, g = np.asarray(f), np.asarray(g)
+    width = np.maximum(code_lengths(f), code_lengths(g))
+    sums = ctx.tables()[0].astype(code_dtype(ctx))[f, g]
+    sums[np.arange(f.shape[-1]) >= width[..., None]] = 0
+    return sums
+
+
+def code_lengths(rows) -> np.ndarray:
+    """The length of each code row with its trailing zeros trimmed, so the
+    degree plus one, and 0 for the zero polynomial."""
+    rows = np.asarray(rows)
+    out = np.zeros(rows.shape[:-1], dtype=np.min_scalar_type(rows.shape[-1]))
+    for i in range(rows.shape[-1]):
+        out[rows[..., i] != 0] = i + 1
     return out
 
 
@@ -233,21 +293,7 @@ class TruncSeries:
     def has_idempotent_shape(self) -> bool:
         """Structural test: all zero, or constant term in {1, m}, higher
         nonzero coefficients all m, support additively closed in-window."""
-        if not any(self.codes):
-            return True
-        many = self.ctx.encode(MANY)
-        if self.codes[0] not in (self.ctx.encode(self.ctx.one), many):
-            return False
-        sup = self.support()
-        if any(self.codes[i] != many for i in sup):
-            return False
-        sup_set = set(sup)
-        for s in sup:
-            for t in sup:
-                if s + t <= self.depth and s + t not in sup_set:
-                    return False
-        # a nonzero constant term with empty support is fine: 1 and m square to themselves
-        return True
+        return bool(idempotent_shape(self.ctx, np.array([self.codes]))[0])
 
     def render(self) -> str:
         text = _trimmed(self.ctx, list(self.codes)).render()
@@ -267,6 +313,24 @@ def make_series(ctx: SemiringCtx, depth: int, coeffs: Iterable[Elem]) -> TruncSe
         raise ValueError(f"{len(cs)} coefficients do not fit a window of depth {depth}")
     codes = [ctx.encode(c) for c in cs] + [0] * (depth + 1 - len(cs))
     return TruncSeries(ctx, depth, tuple(codes))
+
+
+def idempotent_shape(ctx: SemiringCtx, windows) -> np.ndarray:
+    """The structural idempotency test on each row of ``windows`` (codes of
+    degrees 0..depth): the row is all zero, or its constant term is 1 or
+    m, every higher nonzero code is m, and its support is additively
+    closed inside the window.  A nonzero constant term with empty support
+    passes: 1 and m square to themselves."""
+    windows = np.asarray(windows)
+    one, many = ctx.encode(ctx.one), ctx.encode(MANY)
+    nonzero = windows != 0
+    shaped = (windows[:, 0] == one) | (windows[:, 0] == many)
+    shaped &= (~nonzero[:, 1:] | (windows[:, 1:] == many)).all(axis=1)
+    depth = windows.shape[1] - 1
+    for s in range(1, depth // 2 + 1):  # s + t <= depth for each t >= s
+        escapes = nonzero[:, s, None] & nonzero[:, s : depth + 1 - s] & ~nonzero[:, 2 * s :]
+        shaped &= ~escapes.any(axis=1)
+    return shaped | ~nonzero.any(axis=1)
 
 
 def ts_is_idempotent_window(f: TruncSeries) -> bool:
@@ -351,20 +415,48 @@ def factorization_oracle(f: Poly) -> Optional[tuple]:
         raise ValueError("the zero polynomial is outside the oracle's scope")
     if deg > 2:
         raise ValueError(f"oracle covers degree <= 2, got degree {deg}")
-    target = list(f.codes)
-    n = ctx.size
-    # a unit factor must be a constant with a constant inverse: degree is
-    # additive, so nothing of positive degree can divide 1
-    mul, one = ctx.table_rows()[1], ctx.encode(ctx.one)
-    units = {(a,) for a in range(n) if one in mul[a]}
-    for d1 in range(0, deg // 2 + 1):
-        d2 = deg - d1
-        for g in product(range(n), repeat=d1 + 1):
-            if g[-1] == 0 or g in units:
-                continue
-            for h in product(range(n), repeat=d2 + 1):
-                if h[-1] == 0 or h in units:
-                    continue
-                if _convolve(ctx, g, h, deg + 1) == target:
-                    return (Poly(ctx, g), Poly(ctx, h))
-    return None
+    (witness,) = first_factorizations(ctx, [f.codes])
+    return None if witness is None else tuple(Poly(ctx, codes) for codes in witness)
+
+
+def _nonunit_candidates(ctx: SemiringCtx, degree: int) -> np.ndarray:
+    """Code rows of every polynomial of the given degree, in the product
+    order of their coefficient tuples, leaving out the units: a unit
+    factor must be a constant with a constant inverse, since degree is
+    additive and nothing of positive degree divides 1."""
+    rows = code_rows(ctx, degree + 1)
+    keep = rows[:, -1] != 0
+    if degree == 0:
+        keep &= ~(ctx.tables()[1] == ctx.encode(ctx.one)).any(axis=1)
+    return rows[keep]
+
+
+def first_factorizations(ctx: SemiringCtx, targets) -> list:
+    """For each row of ``targets`` (the codes of polynomials of one degree
+    d <= 2), the first factorization into two nonunits, as a pair of code
+    tuples (g, h), or ``None`` when there is none.
+
+    The order is that of the exhaustive search: degree split d1 of g
+    first, then g, then h, each in the product order of its coefficient
+    tuple.  The search walks one g at a time and multiplies it with
+    every candidate h at once, so memory stays O((k + 2)^(d + 1)).
+    """
+    targets = np.asarray(targets, dtype=np.int64)
+    deg = targets.shape[1] - 1
+    place = ctx.size ** np.arange(deg + 1, dtype=np.int64)  # a code row as one number
+    wanted = targets @ place
+    found = [None] * len(targets)
+    open_ = np.arange(len(targets))
+    for d1 in range(deg // 2 + 1):
+        partners = _nonunit_candidates(ctx, deg - d1)
+        for g in _nonunit_candidates(ctx, d1):
+            if not len(open_):
+                return found
+            keys = convolve_batch(ctx, g, partners, deg + 1) @ place
+            order = np.argsort(keys, kind="stable")  # equal keys keep h order
+            pos = np.searchsorted(keys[order], wanted[open_]).clip(max=len(keys) - 1)
+            hit = keys[order[pos]] == wanted[open_]
+            for t, h in zip(open_[hit], order[pos[hit]]):
+                found[t] = (tuple(g.tolist()), tuple(partners[h].tolist()))
+            open_ = open_[~hit]
+    return found

@@ -9,13 +9,21 @@ of the rule instead of against themselves.
 ideal predicates as whole-table numpy scans over ``ctx.tables()``, for
 the library's bit tests on table rows to be checked against.
 
+``ref_idempotent_shape`` and ``ref_factorization`` state the window
+shape rule and the exhaustive factor search one window and one candidate
+pair at a time, the search through the scalar ``series._convolve``, for
+the library's whole-array forms to be checked against.
+
 ``cell_fault`` and ``cell_corruptions`` inject one wrong cell into the
 rule itself, so every arithmetic path of the library sees it.
 """
 
+from itertools import product
+
 import numpy as np
 
 from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
+from indigo.series import NEG_INFINITY, Poly, _convolve
 
 
 def ref_add(ctx, a, b):
@@ -95,6 +103,54 @@ def ref_is_subtractive(ctx, mask):
     member = _member(ctx, mask)
     sums_in = member[ctx.tables()[0][np.flatnonzero(member)]]  # [a, b]: a + b inside
     return not (sums_in & ~member).any()
+
+
+def ref_idempotent_shape(f):
+    """The window shape rule on one ``TruncSeries``: all zero, or constant
+    term in {1, m}, higher nonzero coefficients all m, support additively
+    closed in-window."""
+    if not any(f.codes):
+        return True
+    many = f.ctx.encode(MANY)
+    if f.codes[0] not in (f.ctx.encode(f.ctx.one), many):
+        return False
+    sup = f.support()
+    if any(f.codes[i] != many for i in sup):
+        return False
+    sup_set = set(sup)
+    for s in sup:
+        for t in sup:
+            if s + t <= f.depth and s + t not in sup_set:
+                return False
+    # a nonzero constant term with empty support is fine: 1 and m square to themselves
+    return True
+
+
+def ref_factorization(f):
+    """The first factorization of the ``Poly`` f (degree 0..2) into two
+    nonunits, one candidate pair at a time: degree split d1 first, then
+    g, then h, each in product order of its coefficient tuple; ``None``
+    when f is irreducible."""
+    ctx = f.ctx
+    deg = f.degree()
+    assert deg != NEG_INFINITY and deg <= 2
+    target = list(f.codes)
+    n = ctx.size
+    # a unit factor must be a constant with a constant inverse: degree is
+    # additive, so nothing of positive degree can divide 1
+    mul, one = ctx.table_rows()[1], ctx.encode(ctx.one)
+    units = {(a,) for a in range(n) if one in mul[a]}
+    for d1 in range(0, deg // 2 + 1):
+        d2 = deg - d1
+        for g in product(range(n), repeat=d1 + 1):
+            if g[-1] == 0 or g in units:
+                continue
+            for h in product(range(n), repeat=d2 + 1):
+                if h[-1] == 0 or h in units:
+                    continue
+                if _convolve(ctx, g, h, deg + 1) == target:
+                    return (Poly(ctx, g), Poly(ctx, h))
+    return None
 
 
 _CLEAN_RULE = SemiringCtx._cayley

@@ -1,10 +1,19 @@
 import itertools
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import ref_add, ref_mul
+from reference import (
+    cell_corruptions,
+    cell_fault,
+    ref_add,
+    ref_factorization,
+    ref_idempotent_shape,
+    ref_mul,
+)
 
+from indigo import checks, series
 from indigo.core import (
     MANY,
     ZERO,
@@ -16,13 +25,19 @@ from indigo.series import (
     NEG_INFINITY,
     Poly,
     TruncSeries,
+    _convolve,
+    code_dtype,
+    convolve_batch,
     factorization_oracle,
+    first_factorizations,
+    idempotent_shape,
     idempotent_series_from_generators,
     make_poly,
     make_series,
     parse_poly,
     quadratic,
     quadratic_irreducible,
+    sum_batch,
     ts_is_idempotent_window,
 )
 
@@ -454,6 +469,141 @@ def test_oracle_rejects_out_of_scope_inputs():
         factorization_oracle(make_poly(c, (ZERO, ZERO, ZERO, fin(1))))
     # the bound is front-end policy: the library searches past it
     assert factorization_oracle(Poly.x(SemiringCtx(7))) is None
+
+
+# --- batched paths against the scalar oracles ---------------------------------
+# The sweep multiplies and adds whole arrays of code rows, tests window
+# shapes on arrays and factors every quadratic in one search.  Each batched
+# form must equal its scalar form row for row, zero terms and padding
+# included, or a fault would fail the claims differently.
+
+
+def code_rows(ctx, width):
+    """Every row of ``width`` codes, in product order."""
+    return np.array(list(itertools.product(range(ctx.size), repeat=width)), dtype=np.int64)
+
+
+def as_poly(ctx, row):
+    return make_poly(ctx, [ctx.decode(c) for c in row])
+
+
+def assert_arithmetic_matches_scalar(ctx):
+    """Products and sums of every pair of degree <= 2 code rows, and the
+    square of every window of depth 5, batched against ``_convolve`` and
+    ``Poly.__add__``."""
+    pool = code_rows(ctx, 3)
+    products = convolve_batch(ctx, pool[:, None], pool[None], 5).tolist()
+    sums = sum_batch(ctx, pool[:, None], pool[None]).tolist()
+    polys = [as_poly(ctx, row) for row in pool]
+    rows = pool.tolist()
+    for i, (f, fp) in enumerate(zip(rows, polys)):
+        for j, (g, gp) in enumerate(zip(rows, polys)):
+            assert products[i][j] == _convolve(ctx, f, g, 5)
+            total = (fp + gp).codes
+            assert tuple(sums[i][j]) == total + (0,) * (3 - len(total))
+    windows = code_rows(ctx, 6)
+    squares = convolve_batch(ctx, windows, windows, 6).tolist()
+    for w, square in zip(windows.tolist(), squares):
+        assert square == _convolve(ctx, w, w, 6)
+
+
+def assert_factor_search_matches_reference(ctx, polys):
+    """``factorization_oracle`` one polynomial at a time, and
+    ``first_factorizations`` on all of one degree at once, against the
+    per-pair search of the reference."""
+    by_degree = {}
+    for f in polys:
+        witness = ref_factorization(f)
+        assert factorization_oracle(f) == witness, f
+        by_degree.setdefault(f.degree(), []).append((f, witness))
+    for cases in by_degree.values():
+        found = first_factorizations(ctx, [f.codes for f, _ in cases])
+        want = [w and (w[0].codes, w[1].codes) for _, w in cases]
+        assert found == want
+
+
+@pytest.mark.parametrize("k,mutant", CONTEXTS)
+def test_batched_arithmetic_matches_scalar_convolution(k, mutant):
+    assert_arithmetic_matches_scalar(SemiringCtx(k, mutant=mutant))
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [
+        ("mul", 0, 3, 2),  # a zero term that the scalar product skips
+        ("add", 2, 0, 3),  # x + 0, read only when a zero term is not skipped
+        ("add", 0, 0, 1),  # 0 + 0, read only when a sum pads past both operands
+    ],
+)
+def test_batched_arithmetic_skips_what_the_scalar_form_skips(monkeypatch, cell):
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+    assert_arithmetic_matches_scalar(SemiringCtx(3))
+
+
+def test_batched_arithmetic_is_exact_past_int8():
+    # codes reach 201 at k = 200: a signed 8-bit code type would wrap
+    c = SemiringCtx(200)
+    assert code_dtype(c).itemsize == 1 and code_dtype(SemiringCtx(255)).itemsize == 2
+    rng = np.random.default_rng(200)
+    f = rng.integers(0, c.size, size=(400, 3))
+    g = rng.integers(0, c.size, size=(400, 3))
+    f[:50, 1:] = 0  # constants, to reach the sums' zero padding
+    f[50:100] = c.size - rng.integers(1, 4, size=(50, 3))  # near m
+    products = convolve_batch(c, f, g, 5)
+    sums = sum_batch(c, f, g)
+    assert products.max() > 127
+    for a, b, p, s in zip(f.tolist(), g.tolist(), products.tolist(), sums.tolist()):
+        assert p == _convolve(c, a, b, 5)
+        total = (as_poly(c, a) + as_poly(c, b)).codes
+        assert tuple(s) == total + (0,) * (3 - len(total))
+
+
+@pytest.mark.parametrize(
+    "k,mutant",
+    [(k, m) for k, m in CONTEXTS]
+    + [pytest.param(5, m, marks=pytest.mark.slow) for m in (None, "add-cap", "mul-cap")],
+)
+def test_factor_search_matches_the_per_pair_search(k, mutant):
+    c = SemiringCtx(k, mutant=mutant)
+    assert_factor_search_matches_reference(c, [f for f in all_polys(c, 2) if f.codes])
+
+
+@pytest.mark.parametrize("k,depths", [(1, [5]), (2, range(7)), (3, [5])])
+def test_window_shape_matches_the_per_window_rule(k, depths):
+    c = SemiringCtx(k)
+    for depth in depths:
+        windows = list(all_windows(c, depth))
+        got = idempotent_shape(c, np.array([w.codes for w in windows]))
+        assert got.tolist() == [ref_idempotent_shape(w) for w in windows]
+        assert [w.has_idempotent_shape() for w in windows] == got.tolist()
+
+
+def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
+    # only the generated window of window-idempotency is squared by the
+    # scalar convolution, once per k of that claim
+    calls = []
+    scalar = series._convolve
+
+    def counted(*args):
+        calls.append(args[0].k)
+        return scalar(*args)
+
+    monkeypatch.setattr(series, "_convolve", counted)
+    assert all(c.passed for c in checks.run_all_checks(8))
+    assert calls == list(range(1, checks._SWEEP_WINDOW_K + 1))
+
+
+@pytest.mark.slow
+def test_batched_paths_match_the_scalar_ones_under_every_cell_fault(monkeypatch):
+    for cell in cell_corruptions(3):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+        c = SemiringCtx(3)
+        assert_arithmetic_matches_scalar(c)
+        windows = list(all_windows(c, 5))
+        got = idempotent_shape(c, np.array([w.codes for w in windows])).tolist()
+        assert got == [ref_idempotent_shape(w) for w in windows], cell
+        quadratics = [quadratic(c, a, b) for a in c.nonzero_elements() for b in c.elements()]
+        assert_factor_search_matches_reference(c, quadratics)
 
 
 # --- algebraic laws under random inputs --------------------------------------
