@@ -269,7 +269,6 @@ def _degree_morphism(ctx: SemiringCtx) -> Optional[str]:
     problems = (
         ("degree of sum breaks", lsum != np.maximum(lf, lg)),
         ("degree of product breaks", lfg != np.where(nonzero, lf + lg - 1, 0)),
-        ("zero divisors", nonzero & (lfg == 0)),
     )
     broken = np.logical_or.reduce([bad for _, bad in problems])
     if broken.any():

@@ -179,6 +179,7 @@ class SemiringCtx:
         self._elements: Optional[tuple] = None
         self._tables = None
         self._table_rows = None
+        self._ideals = None  # the ideal closure and lattice, kept by ``ideals._closure``
 
     def __eq__(self, other):
         return isinstance(other, SemiringCtx) and (self.k, self.mutant) == (other.k, other.mutant)

@@ -16,7 +16,9 @@ and in views such as ``Ideal.members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
-ideal found rather than a test of every subset.
+ideal found rather than a test of every subset.  Its output skips
+``Ideal`` validation, and each context object keeps one closure with
+its lattice, so a context enumerates its ideals at most once.
 
 ``LocalizedSemiring`` implements fractions over a multiplicatively
 closed set U through the relation a/u = b/v iff t*a*v = t*b*u for some
@@ -30,6 +32,7 @@ takes (k + 2) closures per ideal plus sum-table lookups.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -49,6 +52,11 @@ def _name(ctx: SemiringCtx, code) -> str:
     return ctx.decode(code).render()
 
 
+def _sort_key(mask: int) -> tuple:
+    codes = tuple(_codes(mask))
+    return (len(codes), codes)
+
+
 def _escape(rows, left, right, mask: int):
     """The first (a, b), a in ``left`` then b in ``right``, whose table
     entry ``rows[a][b]`` lies outside ``mask``; None if there is none.
@@ -64,11 +72,13 @@ def _escape(rows, left, right, mask: int):
 class _Closure:
     """The ideal closure of a code mask, read off ``ctx.table_rows()``.
 
-    Built once per context and reused across masks; ``product`` closes
-    the pairwise products of two masks.
+    Made once per context object (``_closure``) and reused across masks;
+    ``product`` closes the pairwise products of two masks.  Its lattice
+    of closed masks is built on first read.
     """
 
     def __init__(self, ctx: SemiringCtx):
+        self.k, self.size = ctx.k, ctx.size
         add, mul = ([rows[a] for a in range(ctx.size)] for rows in ctx.table_rows())
         # bits of a + b and b + a, of x * y, and of every s * a
         self._sum_bits = [
@@ -102,6 +112,41 @@ class _Closure:
                 seed |= bits[y]
         return self(seed)
 
+    @cached_property
+    def masks(self) -> tuple:
+        """The mask of every ideal, in canonical order: the masks this closure fixes."""
+        return tuple(sorted(_next_closures(self, self.size), key=_sort_key))
+
+    @cached_property
+    def index(self) -> dict:
+        return {mask: i for i, mask in enumerate(self.masks)}
+
+    @cached_property
+    def semiring_tables(self) -> tuple:
+        """(add, mul) of the ideal semiring over positions in ``masks``;
+        ``RuntimeError`` if {0} or {0, m} is not an ideal."""
+        index = self.index
+        for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (self.size - 1))):
+            if mask not in index:  # only under a faulty rule
+                raise RuntimeError(f"k={self.k}: {name} is not an ideal")
+        # the sum closes each distinct union of two masks once; the product
+        # I * J is the join of the principal products x * J over the codes
+        # x of I, so it needs one closure per code and ideal, then only
+        # sum-table lookups
+        masks = self.masks
+        joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
+        for union in {a | b for a in masks for b in masks}.difference(joins):
+            joins[union] = index[self(union)]
+        add = np.array([[joins[a | b] for b in masks] for a in masks])
+        principal = np.array(
+            [[index[self.product(1 << x, b)] for b in masks] for x in range(self.size)]
+        )
+        mul = np.full_like(add, index[1])  # {0} is neutral for the join
+        for x, products in enumerate(principal):
+            rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
+            mul[rows] = add[mul[rows], products]
+        return tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist()))
+
 
 @dataclass(frozen=True)
 class Ideal:
@@ -126,6 +171,13 @@ class Ideal:
         if escape:
             s, a = (_name(ctx, c) for c in escape)
             raise ValueError(f"not absorbing: {s} * {a} escapes")
+
+    @classmethod
+    def _closed(cls, ctx: SemiringCtx, mask: int) -> "Ideal":
+        """The ideal of a closure's output, closed by construction: not validated."""
+        ideal = object.__new__(cls)
+        ideal.__dict__.update(ctx=ctx, mask=mask)
+        return ideal
 
     @property
     def members(self) -> frozenset:
@@ -154,8 +206,7 @@ class Ideal:
 
     def sort_key(self) -> tuple:
         """Canonical order: cardinality, then lexicographic on sorted member codes."""
-        codes = tuple(_codes(self.mask))
-        return (len(codes), codes)
+        return _sort_key(self.mask)
 
     def render(self) -> str:
         return "{" + ", ".join(a.render() for a in self.sorted_members()) + "}"
@@ -191,14 +242,21 @@ def _next_closures(close, n: int):
         yield mask
 
 
+def _closure(ctx: SemiringCtx) -> _Closure:
+    """The ``_Closure`` kept on this context object, made on first use; never
+    shared by equal contexts, which may compute under different rules."""
+    if ctx._ideals is None:
+        ctx._ideals = _Closure(ctx)
+    return ctx._ideals
+
+
 def enumerate_ideals(ctx: SemiringCtx) -> list:
     """Every ideal, in canonical order (cardinality, then lexicographic).
 
     NextClosure over the ideal closure: at most k + 2 closures per ideal,
     though the lattice itself grows fast with k.
     """
-    masks = _next_closures(_Closure(ctx), ctx.size)
-    return sorted((Ideal(ctx, m) for m in masks), key=Ideal.sort_key)
+    return [Ideal._closed(ctx, m) for m in _closure(ctx).masks]
 
 
 def ideal_generated(ctx: SemiringCtx, gens: Iterable[Elem]) -> Ideal:
@@ -206,20 +264,20 @@ def ideal_generated(ctx: SemiringCtx, gens: Iterable[Elem]) -> Ideal:
     seed = 0
     for g in gens:
         seed |= 1 << ctx.encode(g)
-    return Ideal(ctx, _Closure(ctx)(seed))
+    return Ideal._closed(ctx, _closure(ctx)(seed))
 
 
 def ideal_sum(a: Ideal, b: Ideal) -> Ideal:
     if a.ctx != b.ctx:
         raise ValueError("ideal sum needs a common semiring")
-    return Ideal(a.ctx, _Closure(a.ctx)(a.mask | b.mask))
+    return Ideal._closed(a.ctx, _closure(a.ctx)(a.mask | b.mask))
 
 
 def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     """Least ideal containing all pairwise products."""
     if a.ctx != b.ctx:
         raise ValueError("ideal product needs a common semiring")
-    return Ideal(a.ctx, _Closure(a.ctx).product(a.mask, b.mask))
+    return Ideal._closed(a.ctx, _closure(a.ctx).product(a.mask, b.mask))
 
 
 def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
@@ -234,7 +292,7 @@ def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Proper, and adding any element outside it generates the whole semiring."""
     if not ideal.is_proper:
         return False
-    close = _Closure(ctx)
+    close = _closure(ctx)
     full = (1 << ctx.size) - 1
     return all(close(ideal.mask | 1 << c) == full for c in _codes(full & ~ideal.mask))
 
@@ -462,34 +520,14 @@ class IdealSemiring:
     """
 
     def __init__(self, ctx: SemiringCtx):
+        close = _closure(ctx)
         self.ctx = ctx
         self.ideals = tuple(enumerate_ideals(ctx))
-        index = self._index = {ideal.mask: i for i, ideal in enumerate(self.ideals)}
-        for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (ctx.size - 1))):
-            if mask not in index:  # only under a faulty rule
-                raise RuntimeError(f"k={ctx.k}: {name} is not an ideal")
+        index = self._index = close.index
+        self.add_table, self.mul_table = close.semiring_tables
         self.zero_index = index[1]  # the ideal {0}
         self.one_index = index[(1 << ctx.size) - 1]  # the whole semiring
         self.ls_index = index[1 | 1 << (ctx.size - 1)]  # {0, m}
-        # the sum closes each distinct union of two masks once; the product
-        # I * J is the join of the principal products x * J over the codes
-        # x of I, so it needs one closure per code and ideal, then only
-        # sum-table lookups
-        close = _Closure(ctx)
-        masks = list(index)
-        joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
-        for union in {a | b for a in masks for b in masks}.difference(joins):
-            joins[union] = index[close(union)]
-        add = np.array([[joins[a | b] for b in masks] for a in masks])
-        principal = np.array(
-            [[index[close.product(1 << x, b)] for b in masks] for x in range(ctx.size)]
-        )
-        mul = np.full_like(add, self.zero_index)  # {0} is neutral for the join
-        for x, products in enumerate(principal):
-            rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
-            mul[rows] = add[mul[rows], products]
-        self.add_table = tuple(map(tuple, add.tolist()))
-        self.mul_table = tuple(map(tuple, mul.tolist()))
 
     def index_of(self, ideal: Ideal) -> int:
         return self._index[ideal.mask]

@@ -14,6 +14,7 @@ from reference import cell_corruptions, cell_fault
 
 from indigo import checks
 from indigo.core import LAW_NAMES, SemiringCtx, verify_laws
+from indigo.ideals import enumerate_ideals
 
 K = 3
 
@@ -154,6 +155,40 @@ def test_nilpotency_names_the_missing_ideal(monkeypatch, cell):
     monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
     claim = run_claim(check)
     assert (claim.passed, claim.detail) == (False, NILPOTENCY_FAULTS[cell])
+
+
+def assert_sweep_matches_each_claim_alone(cells, monkeypatch):
+    # run_all_checks shares one context, and so one ideal lattice, per k
+    # across the claims; run_claim gives every claim fresh contexts
+    for cell in cells:
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        swept = checks.run_all_checks(K)
+        for check, claim in zip(checks._CHECKS, swept, strict=True):
+            alone = run_claim(check)
+            assert (claim.passed, claim.detail) == (alone.passed, alone.detail), (cell, check[0])
+
+
+def test_sharing_the_lattice_changes_no_claim_report(monkeypatch):
+    cells = [cell for cell, _ in WITNESSES.values()]
+    cells += [*IDEAL_SEMIRING_FAULTS, *NILPOTENCY_FAULTS]
+    assert_sweep_matches_each_claim_alone(cells, monkeypatch)
+
+
+@pytest.mark.slow
+def test_sharing_the_lattice_changes_no_claim_report_under_every_fault(monkeypatch):
+    assert_sweep_matches_each_claim_alone(cell_corruptions(K), monkeypatch)
+
+
+def test_equal_contexts_under_different_rules_keep_their_own_lattice(monkeypatch):
+    clean = SemiringCtx(K)
+    clean_masks = [i.mask for i in enumerate_ideals(clean)]
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("mul", 3, 0, 1, K))
+    faulty = SemiringCtx(K)
+    assert faulty == clean
+    faulty_masks = [i.mask for i in enumerate_ideals(faulty)]
+    assert faulty_masks != clean_masks
+    assert 1 | 1 << (K + 1) not in faulty_masks  # {0, m}, as ideal-lattice reports
+    assert [i.mask for i in enumerate_ideals(clean)] == clean_masks
 
 
 @pytest.mark.slow

@@ -623,11 +623,67 @@ def test_ideal_layer_cost_is_output_sensitive(monkeypatch, mutant):
     n = len(enumerate_ideals(c))
     enumerating = len(calls)
     calls.clear()
-    ids = ideal_semiring(c)
+    ids = ideal_semiring(c)  # reads the lattice enumerated above
     masks = [i.mask for i in ids.ideals]
     unions = {a | b for a in masks for b in masks}
     # one closure per principal product x * J, one per distinct union
-    assert len(calls) - enumerating <= c.size * n + len(unions)
+    assert len(calls) <= c.size * n + len(unions)
+    assert enumerating > 0
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+def test_sweep_builds_one_ideal_lattice_per_k(monkeypatch, mutant):
+    # every claim at one k reads the lattice of that k's shared context
+    counts = dict.fromkeys(("enumerations", "closures", "tables"), 0)
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ideals, "_next_closures", counted("enumerations", ideals._next_closures))
+    monkeypatch.setattr(ideals._Closure, "__init__", counted("closures", ideals._Closure.__init__))
+    tables = ideals._Closure.semiring_tables  # a cached_property; count its builds
+    monkeypatch.setattr(tables, "func", counted("tables", tables.func))
+    checks.run_all_checks(8, mutant=mutant)
+    assert counts == {"enumerations": 8, "closures": 8, "tables": 8}
+
+
+def test_closure_paths_never_enumerate(monkeypatch):
+    # the closure is O(k^2) and the lattice exponential in k: generating,
+    # summing, multiplying and taking radicals must not enumerate
+    def refuse(close, n):
+        raise AssertionError("enumerated the lattice")
+
+    monkeypatch.setattr(ideals, "_next_closures", refuse)
+    c = ctx(400)
+    three = ideal_generated(c, [fin(3)])
+    seven = ideal_generated(c, [fin(7)])
+    assert three.contains(fin(399)) and not three.contains(fin(400))
+    assert ideal_sum(three, seven).contains(fin(10))
+    assert not ideal_product(three, seven).contains(fin(20))
+    assert ideal_product(three, seven).contains(fin(21))
+    assert radical(c, three).mask == (1 << c.size) - 1 & ~(1 << c.encode(c.one))
+
+
+def test_closure_output_is_not_validated_again(monkeypatch):
+    # closure output is an ideal by construction, which the NextClosure
+    # against scan tests check; only other masks go through validation
+    def refuse(self):
+        raise AssertionError("validated a closed mask")
+
+    c = ctx(8)
+    monkeypatch.setattr(Ideal, "__post_init__", refuse)
+    lattice = enumerate_ideals(c)
+    assert ideal_sum(lattice[2], lattice[3]) in lattice
+    assert ideal_product(lattice[-1], lattice[-2]) in lattice
+    assert ideal_generated(c, [fin(3)]) in lattice
+    assert spectrum(c).is_sierpinski
+    assert nilpotency_index(c) == 4
+    with pytest.raises(AssertionError, match="validated"):
+        Ideal(c, 1)
 
 
 def test_nilpotency_index_values():

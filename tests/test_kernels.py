@@ -233,6 +233,7 @@ class TableCtx:
         self.size = add_t.shape[0]
         self.k = self.size - 2
         self._tables = (add_t, mul_t)
+        self._ideals = None  # the slot ``ideals._closure`` keeps the closure in
 
     def tables(self):
         return self._tables
