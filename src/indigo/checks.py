@@ -180,8 +180,8 @@ def _multiplicative_subsets(ctx: SemiringCtx):
 
 
 def _localization(ctx: SemiringCtx) -> Optional[str]:
-    for subset in _multiplicative_subsets(ctx):
-        loc = ideals.localize(ctx, subset)
+    subsets = list(_multiplicative_subsets(ctx))
+    for subset, loc in zip(subsets, ideals.localizations(ctx, subsets)):
         names = "{" + ", ".join(u.render() for u in subset) + "}"
         if not loc.is_entire() or not loc.is_zerosumfree():
             return f"fractions over {names} are not an information algebra"

@@ -28,8 +28,8 @@ sticks at k instead of m) and ``mul-cap`` (same for products).
 from __future__ import annotations
 
 import os
+import weakref
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -327,22 +327,22 @@ class SemiringCtx:
         Rows are int tuples built on first lookup, so a computation pays
         O(k) per row it reads, not the (k + 2)**2 cells of ``tables()``."""
         if self._table_rows is None:
-            self._table_rows = tuple(_TableRows(partial(self.table_row, op)) for op in _OPS)
+            self._table_rows = tuple(_TableRows(weakref.ref(self), op) for op in _OPS)
         return self._table_rows
 
 
 class _TableRows(dict):
     """Table rows keyed by code, each built on first lookup.  Index only:
-    iterate over ``range(ctx.size)`` instead."""
+    iterate over ``range(ctx.size)`` instead.  Holds its context weakly."""
 
     __iter__ = None
 
-    def __init__(self, row):
+    def __init__(self, ctx: weakref.ref, op: str):
         super().__init__()
-        self._row = row
+        self._ctx, self._op = ctx, op
 
     def __missing__(self, a: int) -> tuple:
-        row = self[a] = tuple(self._row(a).tolist())
+        row = self[a] = tuple(self._ctx().table_row(self._op, a).tolist())
         return row
 
 

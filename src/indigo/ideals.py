@@ -10,7 +10,7 @@ the two-point Sierpinski space.
 An ideal is a bitmask over element codes: bit c is set when the element
 with code c (``SemiringCtx.encode``) belongs to it.  Every ideal
 predicate tests bits of the mask against table rows read through
-``ctx.table_rows()``; only ``LocalizedSemiring`` reads the dense
+``ctx.table_rows()``; only localization reads the dense
 ``ctx.tables()``.  Elements appear only at the boundary, in arguments
 and in views such as ``Ideal.members``.
 
@@ -22,8 +22,11 @@ its lattice, so a context enumerates its ideals at most once.
 
 ``LocalizedSemiring`` implements fractions over a multiplicatively
 closed set U through the relation a/u = b/v iff t*a*v = t*b*u for some
-t in U.  ``IdealSemiring`` makes the set of ideals itself a semiring
-under ideal sum and ideal product.  The sum is the lattice join, closed
+t in U.  ``localizations`` builds them for many sets at once, in
+batches of one size and at most 2^14 (set, pair, pair) cells, by flat
+``take`` gathers; ``localize`` is the same build for one set.
+``IdealSemiring`` makes the set of ideals itself a semiring under ideal
+sum and ideal product.  The sum is the lattice join, closed
 once per distinct union of masks; a product I * J is the join, over the
 codes x of I, of the principal products x * J, so the product table
 takes (k + 2) closures per ideal plus sum-table lookups.
@@ -33,7 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -378,84 +381,99 @@ def _is_zerosumfree(add_table, zero: int) -> bool:
     )
 
 
-def _class_table(results: np.ndarray, label: np.ndarray, firsts: np.ndarray) -> tuple:
-    """Class table from the result class of every pair of pairs; ``label[i]``
-    is the first pair of pair i's class, ``firsts`` the first pair of each."""
-    if not np.array_equal(results, results[np.ix_(label, label)]):
-        raise RuntimeError(
-            "fraction operation is not representative-independent; "
-            "the unit set does not yield a semiring"
-        )
-    return tuple(map(tuple, results[np.ix_(firsts, firsts)].tolist()))
+_BATCH_CELLS = 1 << 14  # (set, pair, pair) cells in one grouped build
+
+
+def _unit_codes(ctx: SemiringCtx, units: Iterable[Elem]) -> tuple:
+    """U and its sorted codes; ``ValueError`` unless U is a valid unit set."""
+    unit_set = frozenset(ctx.check(u) for u in units)
+    if not unit_set:
+        raise ValueError("U must be nonempty")
+    if ZERO in unit_set:
+        raise ValueError("U must not contain zero")
+    if ctx.one not in unit_set:
+        raise ValueError("U must contain 1")
+    mul = ctx.table_rows()[1]
+    us = sorted(ctx.encode(u) for u in unit_set)
+    for u in us:
+        for v in us:
+            if mul[u][v] not in us:
+                escape = f"{_name(ctx, u)} * {_name(ctx, v)} escapes"
+                raise ValueError(f"U is not multiplicatively closed: {escape}")
+    return unit_set, us
+
+
+def _fractions(ctx: SemiringCtx, units: np.ndarray) -> Iterator[tuple]:
+    """(class map, class tables) over each row of ``units``, S sorted unit sets of
+    one size, built together: pair a/u (number a * |U| + position of u) of set s
+    meets pair j on axes (s, a, u, j) of flat cell indices.  The map is -1 for u
+    outside U; the tables are None if the operations depend on representatives."""
+    n, (count, size) = ctx.size, units.shape
+    pairs = n * size
+    add, mul = (t.ravel() for t in ctx.tables())
+    s, a = np.arange(count, dtype=np.int32).reshape(-1, 1, 1, 1), np.arange(n).reshape(-1, 1, 1)
+    u, b = units.reshape(count, 1, size, 1), np.arange(pairs) // size
+    v = units[:, np.arange(pairs) % size].reshape(count, 1, 1, pairs)
+    cell = (s * n + mul.take(a * n + v)) * n + mul.take(b * n + u)  # [s, a * v, b * u]
+    scaled = mul.reshape(n, n)[units]  # [s, t, x]: t * x for t in U
+    same = (scaled[:, :, :, None] == scaled[:, :, None, :]).any(axis=1)
+    related = same.ravel().take(cell).reshape(count, pairs, pairs)
+    # each pair takes the least pair index of its component
+    label = related.argmax(axis=2)  # the first step, from label = pair index
+    while True:
+        lower = np.where(related, label[:, None, :], pairs).min(axis=2)
+        if np.array_equal(lower, label):
+            break
+        label = lower
+    first = label == np.arange(pairs)
+    class_at = np.full((count, n, n), -1, dtype=np.int32)  # int32 like s: half-size arrays
+    rank = np.take_along_axis(first.cumsum(axis=1) - 1, label, axis=1)  # the class of each pair
+    class_at[s[..., 0], a[:, 0], units[:, None]] = rank.reshape(count, n, size)
+    # a/u + b/v = (a * v + b * u) / (u * v) and a/u * b/v = (a * b) / (u * v)
+    prod = mul.take(u * n + v)
+    sums, prods = ((s[..., 0] * n + add) * n).ravel().take(cell), (s * n + mul.take(a * n + b)) * n
+    results = [class_at.ravel().take(x + prod).reshape(count, pairs, pairs) for x in (sums, prods)]
+    rep = (s[..., 0] * pairs + label[:, :, None]) * pairs + label[:, None, :]
+    independent = np.logical_and(*((r == r.ravel().take(rep)).all(axis=(1, 2)) for r in results))
+    for i, firsts in enumerate(map(np.flatnonzero, first)):
+        grid = (i * pairs + firsts[:, None]) * pairs + firsts
+        tables = tuple(tuple(map(tuple, r.ravel().take(grid).tolist())) for r in results)
+        yield class_at[i], tables if independent[i] else None
 
 
 class LocalizedSemiring:
     """Fractions of the order-k semiring over a multiplicatively closed set U.
 
-    Classes, the zero and one classes, and both operation tables are
-    computed eagerly; representative independence of the tables is
-    verified over every representative pair, so a successfully
-    constructed instance is a genuine semiring.
+    The class map, the zero and one classes, and both operation tables
+    are computed eagerly, the pairs of a class on request; representative
+    independence of the tables is verified over every representative
+    pair, so a successfully constructed instance is a genuine semiring.
     """
 
     def __init__(self, ctx: SemiringCtx, units: Iterable[Elem]):
-        unit_set = frozenset(ctx.check(u) for u in units)
-        if not unit_set:
-            raise ValueError("U must be nonempty")
-        if ZERO in unit_set:
-            raise ValueError("U must not contain zero")
-        if ctx.one not in unit_set:
-            raise ValueError("U must contain 1")
-        add_t, mul_t = ctx.tables()
-        us = sorted(ctx.encode(u) for u in unit_set)
-        for u in us:
-            for v in us:
-                if mul_t[u, v] not in us:
-                    raise ValueError(
-                        "U is not multiplicatively closed: "
-                        f"{_name(ctx, u)} * {_name(ctx, v)} escapes"
-                    )
-        self.ctx = ctx
-        self.unit_set = unit_set
+        unit_set, us = _unit_codes(ctx, units)
+        self._adopt(ctx, unit_set, *next(_fractions(ctx, np.array([us]))))
 
-        # pair i is the fraction num[i] / den[i]; [i, j] below is pair i with pair j
-        n = ctx.size
-        num = np.repeat(np.arange(n), len(us))
-        den = np.tile(us, n)
-        pairs = tuple(zip(num.tolist(), den.tolist()))
-        left = mul_t[num[:, None], den[None, :]]  # a * v
-        right = mul_t[num[None, :], den[:, None]]  # b * u
-        scaled = mul_t[us]  # row t: t * x for every code x
-        same = (scaled[:, :, None] == scaled[:, None, :]).any(axis=0)
-        related = same[left, right]
-        # each pair takes the least pair index of its component
-        label = np.arange(len(num))
-        while True:
-            lower = np.where(related, label[None, :], len(num)).min(axis=1)
-            if np.array_equal(lower, label):
-                break
-            label = lower
-        firsts, cls = np.unique(label, return_inverse=True)
-        self._classes = tuple(
-            tuple(pairs[i] for i in np.flatnonzero(cls == ci)) for ci in range(len(firsts))
-        )
-        self._class_at = np.full((n, n), -1, dtype=np.int64)  # [a, u]: class of a/u
-        self._class_at[num, den] = cls
-
+    def _adopt(self, ctx: SemiringCtx, unit_set: frozenset, class_at, tables):
+        if tables is None:
+            why = "the unit set does not yield a semiring"
+            raise RuntimeError(f"fraction operation is not representative-independent; {why}")
+        self.ctx, self.unit_set, self._class_at = ctx, unit_set, class_at  # [a, u]: class of a/u
+        self.add_table, self.mul_table = tables
         one = ctx.encode(ctx.one)
-        self.zero_index = int(self._class_at[0, one])
-        self.one_index = int(self._class_at[one, one])
-        units_prod = mul_t[den[:, None], den[None, :]]
-        self.add_table = _class_table(
-            self._class_at[add_t[left, right], units_prod], label, firsts
-        )
-        self.mul_table = _class_table(
-            self._class_at[mul_t[num[:, None], num[None, :]], units_prod], label, firsts
-        )
+        self.zero_index, self.one_index = int(class_at[0, one]), int(class_at[one, one])
+        return self
+
+    @cached_property
+    def _classes(self) -> list:
+        classes = [[] for _ in self.add_table]
+        for a, u in np.argwhere(self._class_at >= 0).tolist():  # a, then u, ascending
+            classes[self._class_at[a, u]].append((a, u))
+        return classes
 
     @property
     def class_count(self) -> int:
-        return len(self._classes)
+        return len(self.add_table)
 
     def class_of(self, a: Elem, u: Elem) -> int:
         if u not in self.unit_set:
@@ -507,6 +525,28 @@ class LocalizedSemiring:
 def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     """The semiring of fractions of ctx over the multiplicatively closed set U."""
     return LocalizedSemiring(ctx, units)
+
+
+def localizations(ctx: SemiringCtx, unit_sets: Iterable) -> Iterator[LocalizedSemiring]:
+    """``localize(ctx, U)`` for each U of ``unit_sets``, in order, built in
+    batches of one size and at most ``_BATCH_CELLS`` cells.  A set that
+    ``localize`` rejects raises the same error in its turn."""
+    checked, error = [], None
+    try:
+        for units in unit_sets:
+            checked.append(_unit_codes(ctx, units))
+    except (TypeError, ValueError) as exc:  # raised after the sets before it
+        error = exc
+    built = {}
+    for size in {len(us) for _, us in checked}:
+        group = [i for i, (_, us) in enumerate(checked) if len(us) == size]
+        step = max(1, _BATCH_CELLS // (ctx.size * size) ** 2)
+        for batch in (group[i : i + step] for i in range(0, len(group), step)):
+            built.update(zip(batch, _fractions(ctx, np.array([checked[i][1] for i in batch]))))
+    for i, (unit_set, _) in enumerate(checked):
+        yield object.__new__(LocalizedSemiring)._adopt(ctx, unit_set, *built.pop(i))
+    if error is not None:
+        raise error
 
 
 class IdealSemiring:

@@ -14,6 +14,9 @@ shape rule and the exhaustive factor search one window and one candidate
 pair at a time, the search through the scalar ``series._convolve``, for
 the library's whole-array forms to be checked against.
 
+``multiplicative_subsets`` lists the unit sets closed under ``ref_mul``,
+for the sweep's own enumeration and the localization tests.
+
 ``cell_fault`` and ``cell_corruptions`` inject one wrong cell into the
 rule itself, so every arithmetic path of the library sees it.
 """
@@ -58,6 +61,16 @@ def ref_mul(ctx, a, b):
     if ctx.mutant == "mul-cap":
         return fin(ctx.k)
     return MANY
+
+
+def multiplicative_subsets(ctx):
+    """Every set of 1 and nonzero elements closed under ``ref_mul``, in the
+    order of the bitmask over the elements 2, ..., k, m that picks it."""
+    pool = [e for e in ctx.nonzero_elements() if e != ctx.one]
+    for bits in range(1 << len(pool)):
+        subset = [ctx.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
+        if all(ref_mul(ctx, u, v) in subset for u in subset for v in subset):
+            yield subset
 
 
 def _member(ctx, mask):

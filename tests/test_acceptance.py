@@ -12,7 +12,7 @@ import subprocess
 import sys
 import time
 
-from reference import ref_mul
+from reference import multiplicative_subsets
 
 from indigo import graphs
 from indigo.core import MANY, ZERO, SemiringCtx, verify_laws
@@ -99,14 +99,6 @@ def test_criterion_4_spectrum():
         assert len(view.closed_sets) == 3
         assert view.is_sierpinski
     report(4, "spectrum is the Sierpinski space for k = 1..12", started)
-
-
-def multiplicative_subsets(c):
-    pool = [e for e in c.nonzero_elements() if e != c.one]
-    for bits in range(1 << len(pool)):
-        subset = [c.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        if all(ref_mul(c, u, v) in subset for u in subset for v in subset):
-            yield subset
 
 
 def test_criterion_5_localization():

@@ -9,12 +9,14 @@ checks nothing.  The laws behind ``semiring-laws`` get their own
 per-law counts, since the canonical-map law alone fails under every fault.
 """
 
+import random
+
 import pytest
 from reference import cell_corruptions, cell_fault
 
 from indigo import checks
 from indigo.core import LAW_NAMES, SemiringCtx, verify_laws
-from indigo.ideals import enumerate_ideals
+from indigo.ideals import enumerate_ideals, localize
 
 K = 3
 
@@ -214,3 +216,43 @@ def test_law_fault_matrix_counts(monkeypatch):
         for report in verify_laws(SemiringCtx(K)):
             counts[report.law] += not report.holds
     assert counts == LAW_FAILURE_COUNTS
+
+
+def localization_one_set_at_a_time(ctx):
+    """The localization claim as a loop of single ``localize`` calls: the
+    oracle for the sweep's grouped build, same predicates, same texts."""
+    for subset in checks._multiplicative_subsets(ctx):
+        loc = localize(ctx, subset)
+        names = "{" + ", ".join(u.render() for u in subset) + "}"
+        if not loc.is_entire() or not loc.is_zerosumfree():
+            return f"fractions over {names} are not an information algebra"
+        if any(u.kind == "fin" and u.value > 1 for u in subset):
+            if loc.class_count != 2 or not loc.is_boolean():
+                return f"fractions over {names} are not Boolean"
+        if len(subset) == 1 and not loc.matches_ambient():
+            return "fractions over {1} do not reproduce the semiring"
+    return None
+
+
+def assert_localization_matches_one_set_at_a_time(cells, k, monkeypatch):
+    (check,) = [check for check in checks._CHECKS if check[0] == "localization"]
+    oracle = check[:2] + (localization_one_set_at_a_time,) + check[3:]
+    failed = 0
+    for cell in cells:
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, k))
+        claim = checks._run(check, k, False, SemiringCtx)
+        assert claim == checks._run(oracle, k, False, SemiringCtx), cell
+        failed += not claim.passed
+    return failed
+
+
+def test_grouped_localization_reports_as_one_set_at_a_time(monkeypatch):
+    failed = assert_localization_matches_one_set_at_a_time(cell_corruptions(K), K, monkeypatch)
+    assert failed == FAILURE_COUNTS["localization"]
+
+
+@pytest.mark.slow
+def test_grouped_localization_reports_as_one_set_at_a_time_at_k8(monkeypatch):
+    """A seeded sample of the 1,800 single-cell faults at K = 8."""
+    cells = random.Random(0).sample(list(cell_corruptions(8)), 60)
+    assert_localization_matches_one_set_at_a_time(cells, 8, monkeypatch)

@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from itertools import combinations
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from indigo.core import (
     fin,
     verify_laws,
 )
+from indigo.ideals import enumerate_ideals
 
 
 def ctx(k, mutant=None):
@@ -191,6 +194,20 @@ def test_scalar_ops_match_the_reference_at_large_k():
                 for b in elems:
                     assert c.add(a, b) == ref_add(c, a, b), (k, mutant, a, b)
                     assert c.mul(a, b) == ref_mul(c, a, b), (k, mutant, a, b)
+
+
+def test_a_context_that_read_its_rows_dies_without_the_cycle_collector():
+    """Table rows refer to their context weakly, so dropping the last
+    reference frees the context, its rows and its cached ideal closure."""
+    gc.disable()
+    try:
+        c = ctx(12)
+        enumerate_ideals(c)  # reads every row through the closure
+        alive = weakref.ref(c)
+        del c
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("i, j, wrong", [(2, 3, 3), (2, 2, 2)])

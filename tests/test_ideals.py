@@ -2,13 +2,16 @@ import ast
 import functools
 import inspect
 import itertools
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from reference import (
     cell_corruptions,
     cell_fault,
+    multiplicative_subsets,
     ref_add,
     ref_ideal,
     ref_is_prime,
@@ -30,6 +33,7 @@ from indigo.ideals import (
     is_prime,
     is_subtractive,
     localize,
+    localizations,
     nilpotency_index,
     radical,
     spectrum,
@@ -221,8 +225,9 @@ def test_ideal_predicates_match_the_dense_table_reference(monkeypatch):
 
 
 def test_ideal_predicates_read_table_rows_only():
-    """Only ``LocalizedSemiring`` reads the dense tables; the ideal
-    predicates build no arrays, and nilpotency reuses the ideal semiring."""
+    """Only localization (``LocalizedSemiring`` and its grouped builder
+    ``_fractions``) reads the dense tables; the ideal predicates build no
+    arrays, and nilpotency reuses the ideal semiring."""
     tree = ast.parse(inspect.getsource(ideals))
     dense_readers = set()
     for top in tree.body:
@@ -230,7 +235,7 @@ def test_ideal_predicates_read_table_rows_only():
             if isinstance(node, ast.Attribute) and node.attr == "tables":
                 dense_readers.add(top.name)
             assert getattr(node, "id", getattr(node, "name", None)) != "_member"
-    assert dense_readers == {"LocalizedSemiring"}
+    assert dense_readers == {"LocalizedSemiring", "_fractions"}
     defs = {top.name: top for top in tree.body if hasattr(top, "name")}
     for name in ("Ideal", "is_prime", "is_subtractive", "nilpotency_index"):
         names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
@@ -373,19 +378,16 @@ def test_enumeration_bound():
 # --- localization -----------------------------------------------------------
 
 
-def multiplicative_subsets(c):
-    pool = [e for e in c.nonzero_elements() if e != c.one]
-    for bits in range(1 << len(pool)):
-        subset = [c.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        if all(ref_mul(c, u, v) in subset for u in subset for v in subset):
-            yield subset
-
-
-@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+@pytest.mark.parametrize("mutant", CONTEXTS)
 def test_sweep_unit_sets_match_scalar_reference(mutant):
+    counts = []
     for k in range(1, 9):
         c = SemiringCtx(k, mutant=mutant)
-        assert list(checks._multiplicative_subsets(c)) == list(multiplicative_subsets(c))
+        subsets = list(checks._multiplicative_subsets(c))
+        assert subsets == list(multiplicative_subsets(c)), k
+        counts.append(len(subsets))
+    if mutant is None:
+        assert counts == [2, 3, 5, 7, 13, 23, 45, 77]
 
 
 def test_localize_validates_unit_set():
@@ -833,23 +835,105 @@ def ref_fractions(c, units):
     return set(classes), tables
 
 
+def localized_in_turn(c, subsets):
+    """(subset, fractions or the error) for each subset, from ``localizations``
+    restarted after each set it rejects."""
+    rest = list(subsets)
+    while rest:
+        built = localizations(c, rest)
+        for done, subset in enumerate(rest, 1):
+            try:
+                yield subset, next(built)
+            except RuntimeError as exc:
+                yield subset, exc
+                break
+        rest = rest[done:]
+
+
+def same_fractions(x, y):
+    return (
+        x.unit_set == y.unit_set
+        and (x.add_table, x.mul_table) == (y.add_table, y.mul_table)
+        and (x.zero_index, x.one_index) == (y.zero_index, y.one_index)
+        and np.array_equal(x._class_at, y._class_at)
+        and all(x.class_members(i) == y.class_members(i) for i in range(x.class_count))
+    )
+
+
+def assert_matches_oracle(c, subset, loc, classes, tables):
+    index = {frozenset(loc.class_members(i)): i for i in range(loc.class_count)}
+    assert set(index) == classes
+    for (x, y), z in tables[0].items():
+        assert loc.add_class(index[x], index[y]) == index[z]
+    for (x, y), z in tables[1].items():
+        assert loc.mul_class(index[x], index[y]) == index[z]
+    for a in c.elements():
+        for u in subset:
+            assert (a, u) in loc.class_members(loc.class_of(a, u))
+
+
 @pytest.mark.parametrize("mutant", CONTEXTS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_localization_matches_scalar_oracle(k, mutant):
+    """Both build paths against the scalar oracle: ``localize`` one set at a
+    time, and ``localizations`` over every set at once in a shuffled order
+    that mixes the sizes of U."""
     c = SemiringCtx(k, mutant=mutant)
-    for subset in multiplicative_subsets(c):
+    subsets = list(multiplicative_subsets(c))
+    random.Random(k).shuffle(subsets)
+    for subset, batched in localized_in_turn(c, subsets):
         classes, tables = ref_fractions(c, subset)
         if tables is None:
-            with pytest.raises(RuntimeError):
+            with pytest.raises(RuntimeError) as alone:
                 localize(c, subset)
+            assert type(batched) is RuntimeError and str(batched) == str(alone.value)
             continue
         loc = localize(c, subset)
-        index = {frozenset(loc.class_members(i)): i for i in range(loc.class_count)}
-        assert set(index) == classes
-        for (x, y), z in tables[0].items():
-            assert loc.add_class(index[x], index[y]) == index[z]
-        for (x, y), z in tables[1].items():
-            assert loc.mul_class(index[x], index[y]) == index[z]
-        for a in c.elements():
-            for u in subset:
-                assert (a, u) in loc.class_members(loc.class_of(a, u))
+        assert_matches_oracle(c, subset, loc, classes, tables)
+        assert same_fractions(batched, loc), subset
+
+
+def test_localizations_split_a_group_into_bounded_batches(monkeypatch):
+    """At k = 8 the 21 sets with |U| = 5 hold 21 * 2500 (set, pair, pair)
+    cells, so they are built in batches of at most ``_BATCH_CELLS``; every
+    set still matches the oracle and its own ``localize``."""
+    c = ctx(8)
+    subsets = list(multiplicative_subsets(c))
+    random.Random(8).shuffle(subsets)
+    shapes = []
+    build = ideals._fractions
+
+    def spy(ctx, units):
+        shapes.append(units.shape)
+        return build(ctx, units)
+
+    monkeypatch.setattr(ideals, "_fractions", spy)
+    batched = list(localizations(c, subsets))
+    per_set = (c.size * 5) ** 2
+    assert per_set == 2500 and 21 * per_set > ideals._BATCH_CELLS
+    assert sorted(count for count, size in shapes if size == 5) == [3, 6, 6, 6]
+    assert all(count * (c.size * size) ** 2 <= ideals._BATCH_CELLS for count, size in shapes)
+    for subset, loc in zip(subsets, batched, strict=True):
+        if len(subset) == 5:
+            assert_matches_oracle(c, subset, loc, *ref_fractions(c, subset))
+        assert same_fractions(loc, localize(c, subset)), subset
+
+
+def test_localizations_raise_a_rejected_set_in_turn():
+    """A set ``localize`` rejects raises the same error at its position, after
+    the sets before it are yielded."""
+    c = ctx(3)
+    good = [fin(1), fin(2), MANY]
+    for bad, wants in (
+        ([fin(1), fin(2)], "U is not multiplicatively closed: 2 * 2 escapes"),
+        ([fin(1), ZERO], "U must not contain zero"),
+        ([fin(9)], "element 9 exceeds order k=3"),
+    ):
+        built = localizations(c, [good, [fin(1)], bad, good])
+        assert next(built).is_boolean() and next(built).matches_ambient()
+        with pytest.raises(ValueError) as exc:
+            next(built)
+        assert str(exc.value) == wants
+        with pytest.raises(ValueError) as alone:
+            localize(c, bad)
+        assert type(exc.value) is type(alone.value) and str(alone.value) == wants
