@@ -168,7 +168,7 @@ def _spectrum(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _multiplicative_subsets(ctx: SemiringCtx):
-    mul = ctx.table_rows()[1]
+    mul = ctx.tables()[1].tolist()
     elems = ctx.elements()
     one = ctx.encode(ctx.one)
     rest = [ctx.encode(e) for e in ctx.nonzero_elements() if e != ctx.one]

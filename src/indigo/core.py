@@ -10,13 +10,14 @@ structure is an information algebra: it has no zero divisors (entire)
 and no nonzero elements summing to zero (zerosumfree).
 
 ``SemiringCtx`` fixes the order k and owns all element arithmetic, the
-Cayley tables over element codes (dense for the scan kernels, row by
-row for scalar lookups), and the canonical quotient map from the
-natural numbers.  The saturating rule is written once, in
-``SemiringCtx._cayley`` on codes: the scalar ``add`` and ``mul`` decode
-it on encoded operands, and ``tables()``, ``table_row`` and
-``table_rows()`` evaluate it on code arrays.  ``verify_laws`` checks every
-axiom exhaustively for one k and returns one ``LawReport`` per law.
+dense Cayley tables over element codes, and the canonical quotient map
+from the natural numbers.  The saturating rule is written once, in
+``SemiringCtx._cayley`` on codes, and read in two forms: on Python ints,
+exact and O(1) per cell at any k (the scalar ``add`` and ``mul``, and
+every single product of the series layer), and on code arrays, where
+``tables()`` evaluates it once over every cell for the dense readers.
+``verify_laws`` checks every axiom exhaustively for one k and returns
+one ``LawReport`` per law.
 
 A deliberately wrong saturation rule can be injected through the
 ``INDIGO_MUTANT`` environment variable (or the ``mutant`` constructor
@@ -28,7 +29,6 @@ sticks at k instead of m) and ``mul-cap`` (same for products).
 from __future__ import annotations
 
 import os
-import weakref
 from dataclasses import dataclass
 from typing import Optional
 
@@ -178,7 +178,6 @@ class SemiringCtx:
         self.mutant = mutant
         self._elements: Optional[tuple] = None
         self._tables = None
-        self._table_rows = None
         self._ideals = None  # the ideal closure and lattice, kept by ``ideals._closure``
 
     def __eq__(self, other):
@@ -314,36 +313,6 @@ class SemiringCtx:
             for t in self._tables:
                 t.setflags(write=False)
         return self._tables
-
-    def table_row(self, op: str, a: int) -> np.ndarray:
-        """Codes of a + b (``op`` "add") or a * b ("mul") for every code b:
-        row a of that table, in O(k) time without the dense tables."""
-        if op not in _OPS or type(a) is not int or not 0 <= a < self.size:
-            raise ValueError(f"no row {a!r} in the {op!r} table of order k={self.k}")
-        return self._cayley(op, a, np.arange(self.size, dtype=np.int64))
-
-    def table_rows(self):
-        """(add, mul) for scalar lookups: ``add[a][b]`` is the code of a + b.
-        Rows are int tuples built on first lookup, so a computation pays
-        O(k) per row it reads, not the (k + 2)**2 cells of ``tables()``."""
-        if self._table_rows is None:
-            self._table_rows = tuple(_TableRows(weakref.ref(self), op) for op in _OPS)
-        return self._table_rows
-
-
-class _TableRows(dict):
-    """Table rows keyed by code, each built on first lookup.  Index only:
-    iterate over ``range(ctx.size)`` instead.  Holds its context weakly."""
-
-    __iter__ = None
-
-    def __init__(self, ctx: weakref.ref, op: str):
-        super().__init__()
-        self._ctx, self._op = ctx, op
-
-    def __missing__(self, a: int) -> tuple:
-        row = self[a] = tuple(self._ctx().table_row(self._op, a).tolist())
-        return row
 
 
 LAW_NAMES = (

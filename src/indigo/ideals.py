@@ -9,10 +9,11 @@ the two-point Sierpinski space.
 
 An ideal is a bitmask over element codes: bit c is set when the element
 with code c (``SemiringCtx.encode``) belongs to it.  Every ideal
-predicate tests bits of the mask against table rows read through
-``ctx.table_rows()``; only localization reads the dense
-``ctx.tables()``.  Elements appear only at the boundary, in arguments
-and in views such as ``Ideal.members``.
+predicate tests bits of the mask against the code lists ``add`` and
+``mul`` of the context's one ``_Closure``, read once from the dense
+``ctx.tables()``; besides the closure, only the unit-set check and
+localization read those tables.  Elements appear only at the boundary,
+in arguments and in views such as ``Ideal.members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
@@ -73,16 +74,18 @@ def _escape(rows, left, right, mask: int):
 
 
 class _Closure:
-    """The ideal closure of a code mask, read off ``ctx.table_rows()``.
+    """The ideal closure of a code mask, read off ``ctx.tables()``, whose
+    cells it keeps as code lists: ``add[a][b]`` is the code of a + b.
 
     Made once per context object (``_closure``) and reused across masks;
     ``product`` closes the pairwise products of two masks.  Its lattice
-    of closed masks is built on first read.
+    of closed masks is built on first read.  It holds no reference to
+    its context, which holds it.
     """
 
     def __init__(self, ctx: SemiringCtx):
         self.k, self.size = ctx.k, ctx.size
-        add, mul = ([rows[a] for a in range(ctx.size)] for rows in ctx.table_rows())
+        self.add, self.mul = add, mul = [t.tolist() for t in ctx.tables()]
         # bits of a + b and b + a, of x * y, and of every s * a
         self._sum_bits = [
             [1 << c | 1 << d for c, d in zip(row, col)] for row, col in zip(add, zip(*add))
@@ -164,13 +167,13 @@ class Ideal:
             raise ContextMismatchError(f"mask {mask} sets a code outside order k={ctx.k}")
         if not mask & 1:
             raise ValueError("an ideal must contain zero")
-        add, mul = ctx.table_rows()
+        close = _closure(ctx)
         inside = list(_codes(mask))
-        escape = _escape(add, inside, inside, mask)
+        escape = _escape(close.add, inside, inside, mask)
         if escape:
             a, b = (_name(ctx, c) for c in escape)
             raise ValueError(f"not closed under addition: {a} + {b} escapes")
-        escape = _escape(mul, range(ctx.size), inside, mask)
+        escape = _escape(close.mul, range(ctx.size), inside, mask)
         if escape:
             s, a = (_name(ctx, c) for c in escape)
             raise ValueError(f"not absorbing: {s} * {a} escapes")
@@ -288,7 +291,7 @@ def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
     if not ideal.is_proper:
         return False
     outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
-    return _escape(ctx.table_rows()[1], outside, outside, ~ideal.mask) is None
+    return _escape(_closure(ctx).mul, outside, outside, ~ideal.mask) is None
 
 
 def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
@@ -304,12 +307,12 @@ def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Whether a in I and a + b in I force b in I."""
     inside = _codes(ideal.mask)
     outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
-    return _escape(ctx.table_rows()[0], inside, outside, ~ideal.mask) is None
+    return _escape(_closure(ctx).add, inside, outside, ~ideal.mask) is None
 
 
 def radical(ctx: SemiringCtx, ideal: Ideal) -> Ideal:
     """Elements some power of which lands in the ideal."""
-    mul = ctx.table_rows()[1]
+    mul = _closure(ctx).mul
     mask = 0
     for a in range(ctx.size):
         p, seen = a, set()
@@ -393,7 +396,7 @@ def _unit_codes(ctx: SemiringCtx, units: Iterable[Elem]) -> tuple:
         raise ValueError("U must not contain zero")
     if ctx.one not in unit_set:
         raise ValueError("U must contain 1")
-    mul = ctx.table_rows()[1]
+    mul = ctx.tables()[1].tolist()
     us = sorted(ctx.encode(u) for u in unit_set)
     for u in us:
         for v in us:

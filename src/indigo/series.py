@@ -2,11 +2,11 @@
 
 Polynomials are dense tuples of element codes trimmed to canonical
 form.  A single product (a ``poly`` or ``series`` query, one window)
-is one scalar convolution over the Cayley table rows of
-``ctx.table_rows()``, so it pays O(k) per row it reads at any order k.
-Exhaustive searches multiply whole arrays of code rows at once through
-the dense tables of ``ctx.tables()`` (``convolve_batch``), with the
-scalar convolution's semantics row for row.  Elements appear only at
+is one scalar convolution that calls the rule ``ctx._cayley`` on Python
+ints, so it pays O(1) per cell it reads at any order k.  Exhaustive
+searches multiply whole arrays of code rows at once through the dense
+tables of ``ctx.tables()`` (``convolve_batch``), with the scalar
+convolution's semantics row for row.  Elements appear only at
 the boundary: the ``coeffs`` view, rendering, JSON, and the builders
 such as ``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
@@ -54,14 +54,13 @@ def _check_codes(ctx: SemiringCtx, codes: tuple) -> None:
 def _convolve(ctx: SemiringCtx, f: Sequence[int], g: Sequence[int], n: int) -> list:
     """The first n codes of the product of the code sequences f and g;
     zero terms are skipped, as 0 is neutral for + and absorbing for *."""
-    add, mul = ctx.table_rows()
+    rule = ctx._cayley
     out = [0] * n
     for i, a in enumerate(f[:n]):
         if a:
-            row = mul[a]
             for j, b in enumerate(g[: n - i], i):
                 if b:
-                    out[j] = add[out[j]][row[b]]
+                    out[j] = rule("add", out[j], rule("mul", a, b))
     return out
 
 
@@ -149,7 +148,7 @@ class Poly:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as elements, lowest degree first."""
-        return tuple(self.ctx.elements()[c] for c in self.codes)
+        return tuple(map(self.ctx.decode, self.codes))
 
     def degree(self) -> Degree:
         return len(self.codes) - 1 if self.codes else NEG_INFINITY
@@ -162,8 +161,8 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check_compat(other)
-        add = self.ctx.table_rows()[0]
-        sums = [add[a][b] for a, b in zip_longest(self.codes, other.codes, fillvalue=0)]
+        rule = self.ctx._cayley
+        sums = [rule("add", a, b) for a, b in zip_longest(self.codes, other.codes, fillvalue=0)]
         return _trimmed(self.ctx, sums)
 
     def __mul__(self, other: "Poly") -> "Poly":
@@ -222,7 +221,6 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
     body = text.strip()
     if not body:
         raise ValueError("empty polynomial text")
-    add = ctx.table_rows()[0]
     codes: dict = {}
     for raw in body.split("+"):
         term = raw.replace(" ", "").replace("x", "X")
@@ -232,7 +230,7 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
         coef_tok, has_x, _, power_tok = match.groups()
         coef = Elem.parse(coef_tok) if coef_tok is not None else fin(1)
         degree = 0 if has_x is None else (1 if power_tok is None else int(power_tok))
-        codes[degree] = add[codes.get(degree, 0)][ctx.encode(coef)]
+        codes[degree] = ctx._cayley("add", codes.get(degree, 0), ctx.encode(coef))
     return _trimmed(ctx, [codes.get(i, 0) for i in range(max(codes) + 1)])
 
 
@@ -257,7 +255,7 @@ class TruncSeries:
     @property
     def coeffs(self) -> tuple:
         """The coefficients as elements, lowest degree first."""
-        return tuple(self.ctx.elements()[c] for c in self.codes)
+        return tuple(map(self.ctx.decode, self.codes))
 
     def _check_compat(self, other: "TruncSeries"):
         if not isinstance(other, TruncSeries):
@@ -269,8 +267,8 @@ class TruncSeries:
 
     def __add__(self, other: "TruncSeries") -> "TruncSeries":
         self._check_compat(other)
-        add = self.ctx.table_rows()[0]
-        sums = tuple(add[a][b] for a, b in zip(self.codes, other.codes))
+        rule = self.ctx._cayley
+        sums = tuple(rule("add", a, b) for a, b in zip(self.codes, other.codes))
         return TruncSeries(self.ctx, self.depth, sums)
 
     def __mul__(self, other: "TruncSeries") -> "TruncSeries":

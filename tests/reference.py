@@ -2,12 +2,13 @@
 
 ``ref_add`` and ``ref_mul`` state the saturating rule on ``Elem`` values,
 mutant included, independently of ``SemiringCtx._cayley``: oracles built
-on them check the library's tables and rows against a second statement
-of the rule instead of against themselves.
+on them check the library's tables and its rule on ints against a second
+statement of the rule instead of against themselves.
 
 ``ref_ideal``, ``ref_is_prime`` and ``ref_is_subtractive`` state the
 ideal predicates as whole-table numpy scans over ``ctx.tables()``, for
-the library's bit tests on table rows to be checked against.
+the library's bit tests on the closure's code lists to be checked
+against.
 
 ``ref_idempotent_shape`` and ``ref_factorization`` state the window
 shape rule and the exhaustive factor search one window and one candidate
@@ -151,7 +152,7 @@ def ref_factorization(f):
     n = ctx.size
     # a unit factor must be a constant with a constant inverse: degree is
     # additive, so nothing of positive degree can divide 1
-    mul, one = ctx.table_rows()[1], ctx.encode(ctx.one)
+    mul, one = ctx.tables()[1].tolist(), ctx.encode(ctx.one)
     units = {(a,) for a in range(n) if one in mul[a]}
     for d1 in range(0, deg // 2 + 1):
         d2 = deg - d1
@@ -171,14 +172,24 @@ _CLEAN_RULE = SemiringCtx._cayley
 
 def cell_fault(op, i, j, wrong, k=3):
     """A ``SemiringCtx._cayley`` that puts ``wrong`` in cell (i, j) of the
-    ``op`` table at order k and computes every other cell cleanly."""
+    ``op`` table at order k and computes every other cell cleanly.  Like
+    the real rule it gives a Python int for two int operands.  Each table
+    of order k is built once per mutant, on first use."""
+    tables = {}  # (mutant, op) -> the table as an array and as lists
+
+    def build(ctx, rule_op):
+        codes = np.arange(ctx.size)
+        table = _CLEAN_RULE(ctx, rule_op, codes[:, None], codes)
+        if rule_op == op:
+            table[i, j] = wrong
+        tables[ctx.mutant, rule_op] = table, table.tolist()
+        return tables[ctx.mutant, rule_op]
 
     def rule(self, rule_op, a, b):
-        codes = np.arange(self.size)
-        table = _CLEAN_RULE(self, rule_op, codes[:, None], codes)
-        if rule_op == op and self.k == k:
-            table[i, j] = wrong
-        return table[a, b]
+        if self.k != k:
+            return _CLEAN_RULE(self, rule_op, a, b)
+        table, cells = tables.get((self.mutant, rule_op)) or build(self, rule_op)
+        return cells[a][b] if type(a) is int and type(b) is int else table[a, b]
 
     return rule
 

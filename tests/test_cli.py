@@ -328,7 +328,7 @@ def test_out_of_range_coefficient_is_a_usage_error(capsys):
 
 def test_poly_and_series_read_table_rows_not_dense_tables(capsys, monkeypatch):
     """At k = 100000 the dense tables would hold 10**10 cells; polynomial and
-    window queries read only the table rows they touch."""
+    window queries call the rule only on the cells they touch."""
     monkeypatch.setattr(indigo.SemiringCtx, "tables", None)
     code, out, _ = run_cli(capsys, "poly", "100000", "--mul", "2 + 300X", "1000 + X")
     assert code == EXIT_OK and "result: 2000 + m X + 300 X^2" in out
@@ -712,17 +712,22 @@ def limit_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
 
+def run_limited(*argv):
+    """``python -m indigo`` with ``argv`` in a child; only the child runs under
+    the 1 GiB address-space limit and the 60 s timeout."""
+    return subprocess.run(
+        [sys.executable, "-m", "indigo", *argv],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env=child_env(),
+        preexec_fn=limit_address_space,
+    )
+
+
 def test_graph_at_large_k_fits_a_time_and_memory_limit():
-    # only the child runs under the 1 GiB address-space limit and the 60 s timeout
     def graph(*argv):
-        return subprocess.run(
-            [sys.executable, "-m", "indigo", "graph", "3000", *argv],
-            capture_output=True,
-            text=True,
-            timeout=60,
-            env=child_env(),
-            preexec_fn=limit_address_space,
-        )
+        return run_limited("graph", "3000", *argv)
 
     proc = graph("--diameter", "--girth", "--json")
     assert proc.returncode == EXIT_OK, proc.stderr
@@ -734,6 +739,16 @@ def test_graph_at_large_k_fits_a_time_and_memory_limit():
         "status: bound-exceeded\n"
         "error: exact clique search is bounded at k <= 24, got k=3000\n"
     )
+
+
+def test_poly_and_series_at_large_k_fit_a_time_and_memory_limit():
+    """A single product reads O(1) per cell, so its cost does not grow with k."""
+    proc = run_limited("poly", "10000000", "--mul", "1+X", "1+X")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "result: 1 + 2 X + X^2\n" in proc.stdout
+    proc = run_limited("series", "100000000", "--depth", "3", "--gens", "2")
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "series: m + m X^2 (window depth 3)\n" in proc.stdout
 
 
 def run_child_into_closed_pipe(args, env):

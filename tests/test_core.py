@@ -22,6 +22,7 @@ from indigo.core import (
     verify_laws,
 )
 from indigo.ideals import enumerate_ideals
+from indigo.series import Poly
 
 
 def ctx(k, mutant=None):
@@ -150,36 +151,31 @@ def test_tables_match_scalar_ops():
         for mutant in (None, "add-cap", "mul-cap"):
             c = ctx(k, mutant)
             add_t, mul_t = c.tables()
-            add, mul = c.table_rows()
-            assert c.table_rows() is c.table_rows()
+            assert c.tables() is c.tables()
             elems = c.elements()
             for i, a in enumerate(elems):
-                assert add[i] == tuple(add_t[i].tolist()) and mul[i] == tuple(mul_t[i].tolist())
-                assert all(type(x) is int for x in add[i] + mul[i])
-                assert add[i] is c.table_rows()[0][i]
                 for j, b in enumerate(elems):
-                    assert c.decode(int(add_t[i, j])) == ref_add(c, a, b)
-                    assert c.decode(int(mul_t[i, j])) == ref_mul(c, a, b)
+                    add, mul = c._cayley("add", i, j), c._cayley("mul", i, j)
+                    assert type(add) is int and type(mul) is int
+                    assert add == add_t[i, j] and mul == mul_t[i, j]
+                    assert c.decode(add) == ref_add(c, a, b)
+                    assert c.decode(mul) == ref_mul(c, a, b)
             assert not add_t.flags.writeable
 
 
-def test_table_rows_at_large_k_skip_the_dense_tables(monkeypatch):
-    """A row costs O(k): no dense table is built, and codes stay exact at any k."""
+def test_rule_at_large_k_skips_the_dense_tables(monkeypatch):
+    """The rule on ints costs O(1) per cell: no dense table is built, and
+    codes stay exact at any k."""
     monkeypatch.setattr(SemiringCtx, "tables", None)
     for mutant in (None, "add-cap", "mul-cap"):
         c = ctx(100_000, mutant)
-        add, mul = c.table_rows()
-        elems = c.elements()
         for a in (0, 1, 2, 317, 50_000, 99_999, 100_000, 100_001):
             for b in (0, 1, 3, 316, 49_999, 50_001, 100_000, 100_001):
-                assert add[a][b] == c.encode(ref_add(c, elems[a], elems[b]))
-                assert mul[a][b] == c.encode(ref_mul(c, elems[a], elems[b]))
-    with pytest.raises(ValueError):
-        c.table_row("mul", c.size)
-    with pytest.raises(ValueError):
-        c.table_row("sub", 1)
-    with pytest.raises(TypeError):
-        iter(add)
+                x, y = c.decode(a), c.decode(b)
+                add, mul = c._cayley("add", a, b), c._cayley("mul", a, b)
+                assert type(add) is int and type(mul) is int
+                assert add == c.encode(ref_add(c, x, y))
+                assert mul == c.encode(ref_mul(c, x, y))
 
 
 def test_scalar_ops_match_the_reference_at_large_k():
@@ -196,16 +192,17 @@ def test_scalar_ops_match_the_reference_at_large_k():
                     assert c.mul(a, b) == ref_mul(c, a, b), (k, mutant, a, b)
 
 
-def test_a_context_that_read_its_rows_dies_without_the_cycle_collector():
-    """Table rows refer to their context weakly, so dropping the last
-    reference frees the context, its rows and its cached ideal closure."""
+def test_a_context_with_a_lattice_dies_without_the_cycle_collector():
+    """The ideal closure kept on a context holds no reference to it, so
+    dropping the last reference frees the context, its tables and its
+    cached lattice."""
     gc.disable()
     try:
         c = ctx(12)
-        enumerate_ideals(c)  # reads every row through the closure
-        alive = weakref.ref(c)
+        enumerate_ideals(c)  # builds the closure from the dense tables
+        alive, lattice = weakref.ref(c), weakref.ref(c._ideals)
         del c
-        assert alive() is None
+        assert alive() is None and lattice() is None
     finally:
         gc.enable()
 
@@ -214,15 +211,18 @@ def test_a_context_that_read_its_rows_dies_without_the_cycle_collector():
 def test_a_rule_fault_reaches_every_arithmetic_path(monkeypatch, capsys, i, j, wrong):
     """One wrong cell of the mul rule, installed in ``_cayley``, is what every
     arithmetic path computes: off the diagonal it shows in products, tables,
-    rows, the graph and the CLI; on it, in idempotency and powers."""
+    polynomial products, the graph and the CLI; on it, in idempotency and
+    powers."""
     want = ctx(3).tables()[1].tolist()
     want[i][j] = wrong
     monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("mul", i, j, wrong))
     c = ctx(3)
     elems = c.elements()
     assert c.tables()[1].tolist() == want
-    assert [list(c.table_rows()[1][a]) for a in range(c.size)] == want
-    assert [c.table_row("mul", a).tolist() for a in range(c.size)] == want
+    for a in range(1, c.size):
+        for b in range(1, c.size):
+            cell = want[a][b]
+            assert (Poly(c, (a,)) * Poly(c, (b,))).codes == ((cell,) if cell else ())
     for a, x in enumerate(elems):
         assert c.is_idempotent(x) == (want[a][a] == a)
         power = a

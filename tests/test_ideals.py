@@ -225,9 +225,11 @@ def test_ideal_predicates_match_the_dense_table_reference(monkeypatch):
 
 
 def test_ideal_predicates_read_table_rows_only():
-    """Only localization (``LocalizedSemiring`` and its grouped builder
-    ``_fractions``) reads the dense tables; the ideal predicates build no
-    arrays, and nilpotency reuses the ideal semiring."""
+    """The dense tables are read only by the closure, which keeps their
+    cells as code lists for every ideal predicate, by the unit-set check
+    and by localization (``LocalizedSemiring`` and its grouped builder
+    ``_fractions``); the ideal predicates build no arrays, and nilpotency
+    reuses the ideal semiring."""
     tree = ast.parse(inspect.getsource(ideals))
     dense_readers = set()
     for top in tree.body:
@@ -235,9 +237,9 @@ def test_ideal_predicates_read_table_rows_only():
             if isinstance(node, ast.Attribute) and node.attr == "tables":
                 dense_readers.add(top.name)
             assert getattr(node, "id", getattr(node, "name", None)) != "_member"
-    assert dense_readers == {"LocalizedSemiring", "_fractions"}
+    assert dense_readers == {"_Closure", "_unit_codes", "LocalizedSemiring", "_fractions"}
     defs = {top.name: top for top in tree.body if hasattr(top, "name")}
-    for name in ("Ideal", "is_prime", "is_subtractive", "nilpotency_index"):
+    for name in ("Ideal", "is_prime", "is_subtractive", "radical", "nilpotency_index"):
         names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
         assert "np" not in names, name
     assert not {"enumerate_ideals", "_Closure"} & {

@@ -238,9 +238,6 @@ class TableCtx:
     def tables(self):
         return self._tables
 
-    def table_rows(self):
-        return tuple(t.tolist() for t in self._tables)
-
 
 @pytest.mark.parametrize("k", range(1, 17))
 @pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
