@@ -204,16 +204,18 @@ def _ideal_semiring(ctx: SemiringCtx) -> Optional[str]:
     if not ids.least_nonzero_absorbs():
         return "{0, m} fails to absorb nonzero ideal products"
     mask = _maximal(ctx)
-    maximal = next((i for i in ids.ideals if i.mask == mask), None)
-    if maximal is None:
+    top = next((i for i, ideal in enumerate(ids.ideals) if ideal.mask == mask), None)
+    if top is None:
         names = ", ".join(e.render() for e in ctx.elements() if e != ctx.one)
         return f"{{{names}}} is not an ideal"
     full, zero = ids.one_index, ids.zero_index
-    for i, ideal in enumerate(ids.ideals):
-        if ids.add_table[i][zero] != i or ids.mul_table[i][full] != i:
-            return f"neutral elements broken at {ideal.render()}"
-        if i != zero and i != full and not ideal.issubset(maximal):
-            return f"{ideal.render()} escapes the maximal ideal"
+    at = np.arange(ids.size)
+    broken = (ids.add_table[:, zero] != at) | (ids.mul_table[:, full] != at)
+    escapes = ids.add_table[:, top] != top  # I + M = M exactly when I lies in M
+    escapes[[zero, full]] = False
+    for i in np.flatnonzero(broken | escapes)[:1].tolist():  # the first ideal at fault
+        text = "neutral elements broken at {}" if broken[i] else "{} escapes the maximal ideal"
+        return text.format(ids.ideals[i].render())
     return None
 
 

@@ -27,10 +27,10 @@ t in U.  ``localizations`` builds them for many sets at once, in
 batches of one size and at most 2^14 (set, pair, pair) cells, by flat
 ``take`` gathers; ``localize`` is the same build for one set.
 ``IdealSemiring`` makes the set of ideals itself a semiring under ideal
-sum and ideal product.  The sum is the lattice join, closed
-once per distinct union of masks; a product I * J is the join, over the
-codes x of I, of the principal products x * J, so the product table
-takes (k + 2) closures per ideal plus sum-table lookups.
+sum and ideal product, in whole-array passes over the masks as ``uint64``
+(size <= 64).  The sum closes each distinct union of two masks once; a
+product I * J is the join, over the codes x of I, of the principal
+products x * J, closed once per distinct seed, then sum-table lookups.
 """
 
 from __future__ import annotations
@@ -129,29 +129,34 @@ class _Closure:
 
     @cached_property
     def semiring_tables(self) -> tuple:
-        """(add, mul) of the ideal semiring over positions in ``masks``;
-        ``RuntimeError`` if {0} or {0, m} is not an ideal."""
+        """(add, mul) of the ideal semiring as read-only int arrays over
+        positions in ``masks``; ``RuntimeError`` if {0} or {0, m} is not an
+        ideal.  Masks are ``uint64``: size > 64 raises ``OverflowError``."""
         index = self.index
         for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (self.size - 1))):
             if mask not in index:  # only under a faulty rule
                 raise RuntimeError(f"k={self.k}: {name} is not an ideal")
-        # the sum closes each distinct union of two masks once; the product
-        # I * J is the join of the principal products x * J over the codes
-        # x of I, so it needs one closure per code and ideal, then only
-        # sum-table lookups
-        masks = self.masks
-        joins = dict(index)  # union mask -> position of its closure; an ideal closes to itself
-        for union in {a | b for a in masks for b in masks}.difference(joins):
-            joins[union] = index[self(union)]
-        add = np.array([[joins[a | b] for b in masks] for a in masks])
-        principal = np.array(
-            [[index[self.product(1 << x, b)] for b in masks] for x in range(self.size)]
-        )
+        # I + J closes the union; I * J joins the principal products x * J
+        # over the codes x of I, each the closure of its seed of bits x * y
+        masks = np.array(self.masks, dtype=np.uint64)
+        add = self._positions(masks[:, None] | masks)
+        member = (masks[:, None] >> np.arange(self.size, dtype=np.uint64) & 1).astype(bool)
+        bits = np.where(member, np.array(self._mul_bits, dtype=np.uint64)[:, None], np.uint64(0))
+        principal = self._positions(np.bitwise_or.reduce(bits, axis=2))  # [x, J]: x * J
         mul = np.full_like(add, index[1])  # {0} is neutral for the join
         for x, products in enumerate(principal):
-            rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
+            rows = np.flatnonzero(member[:, x])  # the ideals containing x
             mul[rows] = add[mul[rows], products]
-        return tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist()))
+        add.flags.writeable = mul.flags.writeable = False
+        return add, mul
+
+    def _positions(self, seeds: np.ndarray) -> np.ndarray:
+        """The position in ``masks`` of the closure of each ``uint64`` seed,
+        closing each distinct seed once; an ideal closes to itself."""
+        distinct, inverse = np.unique(seeds, return_inverse=True)
+        index = self.index
+        closed = [index[s] if s in index else index[self(s)] for s in distinct.tolist()]
+        return np.array(closed)[inverse.reshape(seeds.shape)]
 
 
 @dataclass(frozen=True)
@@ -365,23 +370,17 @@ _BOOLEAN_MUL = ((0, 0), (0, 1))
 
 
 def _is_entire(mul_table, zero: int) -> bool:
-    """No product of two nonzero entries of ``mul_table`` is ``zero``."""
-    return not any(
-        cell == zero
-        for i, row in enumerate(mul_table)
-        if i != zero
-        for j, cell in enumerate(row)
-        if j != zero
-    )
+    """No product of two nonzero cells of ``mul_table`` (any 2-d array-like) is ``zero``."""
+    zeros = np.asarray(mul_table) == zero
+    zeros[zero, :] = zeros[:, zero] = False
+    return not zeros.any()
 
 
 def _is_zerosumfree(add_table, zero: int) -> bool:
-    """Only zero + zero is ``zero`` in ``add_table``."""
-    return all(
-        cell != zero or i == j == zero
-        for i, row in enumerate(add_table)
-        for j, cell in enumerate(row)
-    )
+    """Only zero + zero is ``zero`` in ``add_table`` (any 2-d array-like)."""
+    zeros = np.asarray(add_table) == zero
+    zeros[zero, zero] = False
+    return not zeros.any()
 
 
 _BATCH_CELLS = 1 << 14  # (set, pair, pair) cells in one grouped build
@@ -559,7 +558,8 @@ class IdealSemiring:
     product.  The structure is additively idempotent, zerosumfree and
     entire, and the least nonzero ideal absorbs products of nonzero
     ideals.  A rule under which {0} or {0, m} is not an ideal is an
-    arithmetic fault: the constructor raises ``RuntimeError``.
+    arithmetic fault: the constructor raises ``RuntimeError``.  Both
+    tables are read-only int arrays.
     """
 
     def __init__(self, ctx: SemiringCtx):
@@ -580,7 +580,7 @@ class IdealSemiring:
         return len(self.ideals)
 
     def is_additively_idempotent(self) -> bool:
-        return all(self.add_table[i][i] == i for i in range(self.size))
+        return np.array_equal(np.diagonal(self.add_table), np.arange(self.size))
 
     def is_zerosumfree(self) -> bool:
         return _is_zerosumfree(self.add_table, self.zero_index)
@@ -590,12 +590,9 @@ class IdealSemiring:
 
     def least_nonzero_absorbs(self) -> bool:
         """{0, m} times any nonzero ideal is {0, m} again."""
-        s = self.ls_index
-        return all(
-            self.mul_table[s][i] == s
-            for i in range(self.size)
-            if i != self.zero_index
-        )
+        absorbed = self.mul_table[self.ls_index] == self.ls_index
+        absorbed[self.zero_index] = True
+        return bool(absorbed.all())
 
 
 def ideal_semiring(ctx: SemiringCtx) -> IdealSemiring:
@@ -610,11 +607,12 @@ def nilpotency_index(ctx: SemiringCtx) -> int:
     an n-fold product of elements >= 2 then exceeds k.
     """
     ids = IdealSemiring(ctx)
+    mul = ids.mul_table.tolist()
     factors = [i for i in range(ids.size) if i not in (ids.zero_index, ids.one_index)]
     current = set(factors)
     n = 1
     while current != {ids.ls_index}:
-        current = {ids.mul_table[i][j] for i in current for j in factors}
+        current = {mul[i][j] for i in current for j in factors}
         n += 1
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")

@@ -15,6 +15,10 @@ shape rule and the exhaustive factor search one window and one candidate
 pair at a time, the search through the scalar ``series._convolve``, for
 the library's whole-array forms to be checked against.
 
+``ref_semiring_tables`` builds the ideal semiring's tables in Python,
+one pair of ideals at a time, over the context's ideal closure, for the
+library's array build to be checked against cell by cell.
+
 ``multiplicative_subsets`` lists the unit sets closed under ``ref_mul``,
 for the sweep's own enumeration and the localization tests.
 
@@ -27,6 +31,7 @@ from itertools import product
 import numpy as np
 
 from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
+from indigo.ideals import _closure
 from indigo.series import NEG_INFINITY, Poly, _convolve
 
 
@@ -117,6 +122,30 @@ def ref_is_subtractive(ctx, mask):
     member = _member(ctx, mask)
     sums_in = member[ctx.tables()[0][np.flatnonzero(member)]]  # [a, b]: a + b inside
     return not (sums_in & ~member).any()
+
+
+def ref_semiring_tables(ctx):
+    """(add, mul) of the ideal semiring of ctx as tuples of tuples over
+    positions in the canonical ideal order, one Python closure per pair;
+    ``RuntimeError`` if {0} or {0, m} is not an ideal."""
+    close = _closure(ctx)
+    index = close.index
+    for name, mask in (("{0}", 1), ("{0, m}", 1 | 1 << (ctx.size - 1))):
+        if mask not in index:
+            raise RuntimeError(f"k={ctx.k}: {name} is not an ideal")
+    masks = close.masks
+    joins = dict(index)  # union mask -> position of its closure
+    for union in {a | b for a in masks for b in masks}.difference(joins):
+        joins[union] = index[close(union)]
+    add = np.array([[joins[a | b] for b in masks] for a in masks])
+    principal = np.array(
+        [[index[close.product(1 << x, b)] for b in masks] for x in range(ctx.size)]
+    )
+    mul = np.full_like(add, index[1])
+    for x, products in enumerate(principal):
+        rows = np.flatnonzero([a >> x & 1 for a in masks])  # the ideals containing x
+        mul[rows] = add[mul[rows], products]
+    return tuple(map(tuple, add.tolist())), tuple(map(tuple, mul.tolist()))
 
 
 def ref_idempotent_shape(f):

@@ -12,11 +12,11 @@ per-law counts, since the canonical-map law alone fails under every fault.
 import random
 
 import pytest
-from reference import cell_corruptions, cell_fault
+from reference import cell_corruptions, cell_fault, ref_semiring_tables
 
 from indigo import checks
 from indigo.core import LAW_NAMES, SemiringCtx, verify_laws
-from indigo.ideals import enumerate_ideals, localize
+from indigo.ideals import Ideal, _closure, enumerate_ideals, localize
 
 K = 3
 
@@ -256,3 +256,73 @@ def test_grouped_localization_reports_as_one_set_at_a_time_at_k8(monkeypatch):
     """A seeded sample of the 1,800 single-cell faults at K = 8."""
     cells = random.Random(0).sample(list(cell_corruptions(8)), 60)
     assert_localization_matches_one_set_at_a_time(cells, 8, monkeypatch)
+
+
+def _reference_positions(ctx):
+    """The reference tables with the positions of {0}, the whole semiring
+    and {0, m} in them."""
+    add, mul = ref_semiring_tables(ctx)
+    index = _closure(ctx).index
+    return add, mul, index[1], index[(1 << ctx.size) - 1], index[1 | 1 << (ctx.size - 1)]
+
+
+def ideal_semiring_over_the_reference(ctx):
+    """The ideal-semiring claim as Python loops over ``ref_semiring_tables``:
+    the oracle for the array build and the array predicates, same checks
+    in the same order, same texts."""
+    add, mul, zero, full, least = _reference_positions(ctx)
+    n = len(add)
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    if any(add[i][i] != i for i in range(n)):
+        return "ideal sum is not idempotent"
+    if any(add[i][j] == zero for i, j in pairs if (i, j) != (zero, zero)):
+        return "ideal semiring is not zerosumfree"
+    if any(mul[i][j] == zero for i, j in pairs if zero not in (i, j)):
+        return "ideal semiring has zero divisors"
+    if any(mul[least][i] != least for i in range(n) if i != zero):
+        return "{0, m} fails to absorb nonzero ideal products"
+    maximal = checks._maximal(ctx)
+    if maximal not in _closure(ctx).index:
+        names = ", ".join(e.render() for e in ctx.elements() if e != ctx.one)
+        return f"{{{names}}} is not an ideal"
+    for i, mask in enumerate(_closure(ctx).masks):
+        name = Ideal._closed(ctx, mask).render()
+        if add[i][zero] != i or mul[i][full] != i:
+            return f"neutral elements broken at {name}"
+        if i not in (zero, full) and mask & ~maximal:
+            return f"{name} escapes the maximal ideal"
+    return None
+
+
+def nilpotency_over_the_reference(ctx):
+    """The ideal-nilpotency claim as the set iteration over the product
+    table of ``ref_semiring_tables``, same texts."""
+    _, mul, zero, full, least = _reference_positions(ctx)
+    factors = [i for i in range(len(mul)) if i not in (zero, full)]
+    current, n = set(factors), 1
+    while current != {least}:
+        current = {mul[i][j] for i in current for j in factors}
+        n += 1
+        if n > 2 * ctx.k + 2:
+            raise RuntimeError("nilpotency iteration failed to stabilize")
+    guarantee = ctx.k.bit_length()  # the least g >= 1 with 2^g > k
+    return f"nilpotency index {n} exceeds guarantee {guarantee}" if n > guarantee else None
+
+
+@pytest.mark.parametrize(
+    "name, oracle",
+    [
+        ("ideal-semiring", ideal_semiring_over_the_reference),
+        ("ideal-nilpotency", nilpotency_over_the_reference),
+    ],
+)
+def test_ideal_semiring_claims_report_as_the_reference_loops(monkeypatch, name, oracle):
+    (check,) = [check for check in checks._CHECKS if check[0] == name]
+    reference = check[:2] + (oracle,) + check[3:]
+    failed = 0
+    for cell in cell_corruptions(K):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        claim = run_claim(check)
+        assert claim == run_claim(reference), cell
+        failed += not claim.passed
+    assert failed == FAILURE_COUNTS[name]

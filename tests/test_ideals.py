@@ -17,6 +17,7 @@ from reference import (
     ref_is_prime,
     ref_is_subtractive,
     ref_mul,
+    ref_semiring_tables,
 )
 
 from indigo import IDEAL_ENUM_BOUND, checks, ideals
@@ -224,12 +225,12 @@ def test_ideal_predicates_match_the_dense_table_reference(monkeypatch):
     assert cases == 6760
 
 
-def test_ideal_predicates_read_table_rows_only():
+def test_mask_predicates_read_the_closure_code_lists():
     """The dense tables are read only by the closure, which keeps their
-    cells as code lists for every ideal predicate, by the unit-set check
+    cells as code lists for every mask predicate, by the unit-set check
     and by localization (``LocalizedSemiring`` and its grouped builder
-    ``_fractions``); the ideal predicates build no arrays, and nilpotency
-    reuses the ideal semiring."""
+    ``_fractions``); the mask predicates build no arrays, and nilpotency
+    reads the ideal semiring's product table, once, as lists."""
     tree = ast.parse(inspect.getsource(ideals))
     dense_readers = set()
     for top in tree.body:
@@ -512,25 +513,44 @@ def test_ideal_sum_and_product_basics():
 
 
 def with_cell(table, i, j, value):
-    return tuple(
-        tuple(value if (r, c) == (i, j) else x for c, x in enumerate(row))
-        for r, row in enumerate(table)
-    )
+    """A copy of ``table`` with ``value`` in cell (i, j), in the same form:
+    a numpy array, or a tuple of tuples."""
+    cells = np.array(table)
+    cells[i, j] = value
+    return cells if isinstance(table, np.ndarray) else tuple(map(tuple, cells.tolist()))
+
+
+TABLE_FORMS = (lambda t: tuple(map(tuple, np.asarray(t).tolist())), np.array)  # tuples, array
 
 
 def test_entire_and_zerosumfree_find_a_single_witness():
-    # both structures share the two checks; one planted cell must flip each
-    for s in (ideal_semiring(ctx(3)), localize(ctx(3), [fin(1)])):
+    # both structures share the two checks; in a tuple or an array table
+    # one planted zero must flip each, except in the cells they ignore: a
+    # product with the zero (its row and column) for entire, zero + zero
+    # for zerosumfree
+    for as_form, s in itertools.product(
+        TABLE_FORMS, (ideal_semiring(ctx(3)), localize(ctx(3), [fin(1)]))
+    ):
         z = s.zero_index
+        clean = s.add_table, s.mul_table = tuple(map(as_form, (s.add_table, s.mul_table)))
         assert s.is_entire() and s.is_zerosumfree()
-        others = [i for i in range(len(s.add_table)) if i != z]
-        a, b = others[0], others[-1]
-        clean = s.add_table, s.mul_table
-        s.mul_table = with_cell(clean[1], a, b, z)
-        assert not s.is_entire() and s.is_zerosumfree()
-        s.mul_table = clean[1]
-        s.add_table = with_cell(clean[0], a, b, z)
-        assert s.is_entire() and not s.is_zerosumfree()
+        for a, b in np.ndindex(len(clean[0]), len(clean[0])):
+            s.mul_table = with_cell(clean[1], a, b, z)
+            assert s.is_entire() == (z in (a, b)) and s.is_zerosumfree(), (a, b)
+            s.mul_table = clean[1]
+            s.add_table = with_cell(clean[0], a, b, z)
+            assert s.is_entire() and s.is_zerosumfree() == (a == b == z), (a, b)
+            s.add_table = clean[0]
+    # a zero away from position 0, in a table with no other zero cell
+    for as_form, z in itertools.product(TABLE_FORMS, range(3)):
+        blank = as_form(np.full((3, 3), 3))
+        for a, b in np.ndindex(3, 3):
+            planted = with_cell(blank, a, b, z)
+            assert ideals._is_entire(planted, z) == (z in (a, b)), (z, a, b)
+            assert ideals._is_zerosumfree(planted, z) == (a == b == z), (z, a, b)
+    for as_form, cell in itertools.product(TABLE_FORMS, (0, 1)):
+        one = as_form([[cell]])  # its one cell is zero * zero and zero + zero
+        assert ideals._is_entire(one, 0) and ideals._is_zerosumfree(one, 0)
 
 
 def test_ideal_semiring_properties():
@@ -567,6 +587,75 @@ def test_sum_with_larger_is_absorption():
         for b in lattice:
             if a.issubset(b):
                 assert ideal_sum(a, b).members == b.members
+
+
+def assert_tables_match_the_reference(c):
+    """The array build of the ideal-semiring tables equals
+    ``ref_semiring_tables`` cell by cell, or raises the same
+    ``RuntimeError``; whether the tables were built."""
+    try:
+        want = ref_semiring_tables(c)
+    except RuntimeError as exc:
+        with pytest.raises(RuntimeError) as got:
+            ideal_semiring(c)
+        assert str(got.value) == str(exc)
+        return False
+    ids = ideal_semiring(c)
+    for table, ref in zip((ids.add_table, ids.mul_table), want, strict=True):
+        assert table.shape == (ids.size, ids.size) and not table.flags.writeable
+        assert table.tolist() == list(map(list, ref))
+    return True
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", range(1, 13))
+def test_ideal_semiring_tables_match_the_reference_build(k, mutant):
+    assert assert_tables_match_the_reference(SemiringCtx(k, mutant=mutant))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("mutant", CONTEXTS)
+@pytest.mark.parametrize("k", range(13, 17))
+def test_ideal_semiring_tables_match_the_reference_build_at_large_k(k, mutant):
+    assert assert_tables_match_the_reference(SemiringCtx(k, mutant=mutant))
+
+
+def test_ideal_semiring_tables_match_the_reference_build_under_every_cell_fault(monkeypatch):
+    built = 0
+    for cell in cell_corruptions(3):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+        built += assert_tables_match_the_reference(SemiringCtx(3))
+    assert 0 < built < 200  # both the tables and the error are compared
+
+
+def test_ideal_semiring_claim_reports_the_first_ideal_at_fault(monkeypatch):
+    # the claim reads its neutral and inclusion checks off the tables and
+    # reports the first ideal at fault; at one ideal, a broken neutral
+    # element comes before an escape
+    c = ctx(3)
+    ids = ideal_semiring(c)
+    top = ids.index_of(Ideal(c, checks._maximal(c)))
+    least, full, zero = ids.ls_index, ids.one_index, ids.zero_index
+    monkeypatch.setattr(ideals, "ideal_semiring", lambda _: ids)
+    clean = ids.add_table
+    for cells, want in (
+        ([(least, top)], "{0, m} escapes the maximal ideal"),
+        ([(least, top), (least, zero)], "neutral elements broken at {0, m}"),
+        ([(least, top), (top - 1, zero)], "{0, m} escapes the maximal ideal"),  # the first
+    ):
+        ids.add_table = clean
+        for cell in cells:
+            ids.add_table = with_cell(ids.add_table, *cell, full)
+        assert checks._ideal_semiring(c) == want, cells
+
+
+def test_ideal_semiring_tables_need_masks_of_at_most_64_bits():
+    # k = 63 has 65 codes, so its whole-semiring mask leaves uint64
+    close = ideals._closure(SemiringCtx(63))
+    chain = (1, 1 | 1 << 64, (1 << 65) - 1)  # {0}, {0, m}, everything: no enumeration
+    close.__dict__.update(masks=chain, index={m: i for i, m in enumerate(chain)})
+    with pytest.raises(OverflowError):
+        close.semiring_tables
 
 
 @pytest.mark.parametrize("mutant", CONTEXTS)
@@ -630,8 +719,15 @@ def test_ideal_layer_cost_is_output_sensitive(monkeypatch, mutant):
     ids = ideal_semiring(c)  # reads the lattice enumerated above
     masks = [i.mask for i in ids.ideals]
     unions = {a | b for a in masks for b in masks}
-    # one closure per principal product x * J, one per distinct union
-    assert len(calls) <= c.size * n + len(unions)
+    mul = c.tables()[1].tolist()
+    seeds = {  # the products x * y over y in J, for each code x and ideal J
+        functools.reduce(int.__or__, (1 << mul[x][y] for y in range(c.size) if b >> y & 1))
+        for x in range(c.size)
+        for b in masks
+    }
+    # at most one closure per distinct union and one per distinct seed of
+    # a principal product x * J: far fewer than one per pair
+    assert len(calls) <= len(unions) + len(seeds) < n * n
     assert enumerating > 0
 
 
