@@ -4,7 +4,8 @@ The library computes at any order k.  Its exhaustive searches grow fast
 with k, so the front ends bound them, and both read ``BOUNDS``: the CLI
 refuses a k past a search's bound (exit 3, lifted by ``--unsafe-bound``),
 and the verify-all sweep cuts the k range of each claim at the bound of
-the search behind it (lifted by ``unsafe``).
+the search behind it (lifted by ``unsafe``).  Every limit of either front
+end is a row here, the searches only the sweep runs included.
 """
 
 LAW_CHECK_BOUND = 64
@@ -26,5 +27,7 @@ BOUNDS = {
     "chromatic": (EXACT_SEARCH_BOUND, "exact chromatic search is"),
     "ideals": (IDEAL_ENUM_BOUND, "ideal enumeration is"),
     "localization": (10, None),  # fractions over every multiplicative subset
+    "poly": (4, None),  # (k + 2)^3 polynomials of degree <= 2, all (k + 2)^6 pairs at once
+    "window": (3, None),  # (k + 2)^6 windows of depth 5, squared in one batch
     "oracle": (ORACLE_BOUND, "factorization search is exhaustive;"),
 }

@@ -2,12 +2,10 @@
 
 Each claim is a predicate on the semiring of one order k: it returns a
 problem text, or ``None`` when the property holds at that k.
-``_CHECKS`` lists every claim as ``(name, tag, predicate, search, cap)``.
-``search`` names the exhaustive search behind the claim in
-``bounds.BOUNDS``, whose bound ``unsafe`` lifts; ``cap`` is a fixed
-sweep size that is never lifted; ``None`` means neither.  One rule
-decides what a claim covers: k = 1..min(k_max, cap, bound unless
-unsafe).
+``_CHECKS`` lists every claim as ``(name, tag, predicate, search)``.
+``search`` names the row of ``bounds.BOUNDS`` that bounds the claim, or
+is ``None`` for a claim with no bound.  One rule decides what a claim
+covers: k = 1..min(k_max, bound unless ``unsafe``).
 
 ``run_all_checks`` builds one ``SemiringCtx`` per k, shared by every
 claim, and reports a claim's first problem as ``k=K: <problem>``.
@@ -30,8 +28,6 @@ from .core import MANY, SemiringCtx, fin, verify_laws
 
 # (k + 2)^6 windows of depth 5, squared in one batched call per k
 _SWEEP_WINDOW_DEPTH = 5
-_SWEEP_POLY_K = 4
-_SWEEP_WINDOW_K = 3
 
 
 @dataclass(frozen=True)
@@ -306,37 +302,36 @@ def _quadratics(ctx: SemiringCtx) -> Optional[str]:
     return None
 
 
-# (name, tag, predicate, search in BOUNDS whose bound unsafe lifts, cap never lifted)
+# (name, tag, predicate, row of BOUNDS that bounds it and unsafe lifts)
 _CHECKS = (
-    ("semiring-laws", "core.laws", _laws, "laws", None),
-    ("graph-diameter", "graphs.diameter", _graph_diameter, None, None),
-    ("graph-girth", "graphs.girth", _graph_girth, None, None),
-    ("graph-clique", "graphs.clique", _graph_clique, "clique", None),
-    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, "chromatic", None),
-    ("ideal-lattice", "ideals.lattice", _ideal_lattice, "ideals", None),
-    ("ideal-primes", "ideals.primes", _ideal_primes, "ideals", None),
-    ("ideal-austere", "ideals.subtractive", _ideal_austere, "ideals", None),
-    ("ideal-radicals", "ideals.radical", _ideal_radicals, "ideals", None),
-    ("ideal-principal-primes", "ideals.principal-primes", _ideal_principal_primes, "ideals", None),
-    ("ideal-maximal", "ideals.maximal", _ideal_maximal, "ideals", None),
-    ("spectrum-sierpinski", "ideals.spectrum", _spectrum, "ideals", None),
-    ("localization", "ideals.localization", _localization, "localization", None),
-    ("ideal-semiring", "ideals.semiring", _ideal_semiring, "ideals", None),
-    ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, "ideals", None),
-    ("poly-units", "series.units", _poly_units, None, _SWEEP_POLY_K),
-    ("poly-idempotents", "series.idempotents", _poly_idempotents, None, _SWEEP_POLY_K),
-    ("degree-morphism", "series.degree", _degree_morphism, None, _SWEEP_POLY_K),
-    ("window-idempotency", "series.windows", _window_idempotency, None, _SWEEP_WINDOW_K),
-    ("quadratic-irreducibility", "series.quadratics", _quadratics, "oracle", None),
+    ("semiring-laws", "core.laws", _laws, "laws"),
+    ("graph-diameter", "graphs.diameter", _graph_diameter, None),
+    ("graph-girth", "graphs.girth", _graph_girth, None),
+    ("graph-clique", "graphs.clique", _graph_clique, "clique"),
+    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, "chromatic"),
+    ("ideal-lattice", "ideals.lattice", _ideal_lattice, "ideals"),
+    ("ideal-primes", "ideals.primes", _ideal_primes, "ideals"),
+    ("ideal-austere", "ideals.subtractive", _ideal_austere, "ideals"),
+    ("ideal-radicals", "ideals.radical", _ideal_radicals, "ideals"),
+    ("ideal-principal-primes", "ideals.principal-primes", _ideal_principal_primes, "ideals"),
+    ("ideal-maximal", "ideals.maximal", _ideal_maximal, "ideals"),
+    ("spectrum-sierpinski", "ideals.spectrum", _spectrum, "ideals"),
+    ("localization", "ideals.localization", _localization, "localization"),
+    ("ideal-semiring", "ideals.semiring", _ideal_semiring, "ideals"),
+    ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, "ideals"),
+    ("poly-units", "series.units", _poly_units, "poly"),
+    ("poly-idempotents", "series.idempotents", _poly_idempotents, "poly"),
+    ("degree-morphism", "series.degree", _degree_morphism, "poly"),
+    ("window-idempotency", "series.windows", _window_idempotency, "window"),
+    ("quadratic-irreducibility", "series.quadratics", _quadratics, "oracle"),
 )
 
 
 def _run(check: tuple, k_max: int, unsafe: bool, ctx_at: Callable[[int], SemiringCtx]) -> Claim:
-    """One claim over k = 1..min(k_max, cap, bound unless unsafe), with
+    """One claim over k = 1..min(k_max, bound unless unsafe), with
     ``ctx_at(k)`` the semiring of order k."""
-    name, tag, predicate, search, cap = check
-    bound = None if unsafe or search is None else BOUNDS[search][0]
-    top = min(n for n in (k_max, cap, bound) if n is not None)
+    name, tag, predicate, search = check
+    top = k_max if unsafe or search is None else min(k_max, BOUNDS[search][0])
     try:
         for k in range(1, top + 1):
             problem = predicate(ctx_at(k))

@@ -70,9 +70,8 @@ def _drop_stdout() -> None:
     os.close(devnull)
 
 
-def _emit(payload: dict, claims: list, as_json: bool, status: Optional[str] = None) -> int:
-    if status is None:
-        status = "ok" if all(c.passed for c in claims) else "violated"
+def _emit(payload: dict, claims: list, as_json: bool) -> int:
+    status = "ok" if all(c.passed for c in claims) else "violated"
     if as_json:
         report = {
             "status": status,

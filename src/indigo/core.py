@@ -259,7 +259,7 @@ class SemiringCtx:
 
     def power(self, a: Elem, n: int) -> Elem:
         """n-fold product of a with itself, n >= 1."""
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"exponent must be an integer >= 1, got {n!r}")
         out = self.check(a)
         for _ in range(n - 1):

@@ -450,13 +450,10 @@ class LocalizedSemiring:
     are computed eagerly, the pairs of a class on request; representative
     independence of the tables is verified over every representative
     pair, so a successfully constructed instance is a genuine semiring.
+    ``localize`` and ``localizations`` build the parts it takes.
     """
 
-    def __init__(self, ctx: SemiringCtx, units: Iterable[Elem]):
-        unit_set, us = _unit_codes(ctx, units)
-        self._adopt(ctx, unit_set, *next(_fractions(ctx, np.array([us]))))
-
-    def _adopt(self, ctx: SemiringCtx, unit_set: frozenset, class_at, tables):
+    def __init__(self, ctx: SemiringCtx, unit_set: frozenset, class_at, tables):
         if tables is None:
             why = "the unit set does not yield a semiring"
             raise RuntimeError(f"fraction operation is not representative-independent; {why}")
@@ -464,7 +461,6 @@ class LocalizedSemiring:
         self.add_table, self.mul_table = tables
         one = ctx.encode(ctx.one)
         self.zero_index, self.one_index = int(class_at[0, one]), int(class_at[one, one])
-        return self
 
     @cached_property
     def _classes(self) -> list:
@@ -526,13 +522,13 @@ class LocalizedSemiring:
 
 def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     """The semiring of fractions of ctx over the multiplicatively closed set U."""
-    return LocalizedSemiring(ctx, units)
+    return next(localizations(ctx, [units]))
 
 
 def localizations(ctx: SemiringCtx, unit_sets: Iterable) -> Iterator[LocalizedSemiring]:
-    """``localize(ctx, U)`` for each U of ``unit_sets``, in order, built in
-    batches of one size and at most ``_BATCH_CELLS`` cells.  A set that
-    ``localize`` rejects raises the same error in its turn."""
+    """The semiring of fractions over each U of ``unit_sets``, in order, built
+    in batches of one size and at most ``_BATCH_CELLS`` cells.  A set that is
+    not a unit set, or does not yield a semiring, raises its error in its turn."""
     checked, error = [], None
     try:
         for units in unit_sets:
@@ -546,7 +542,7 @@ def localizations(ctx: SemiringCtx, unit_sets: Iterable) -> Iterator[LocalizedSe
         for batch in (group[i : i + step] for i in range(0, len(group), step)):
             built.update(zip(batch, _fractions(ctx, np.array([checked[i][1] for i in batch]))))
     for i, (unit_set, _) in enumerate(checked):
-        yield object.__new__(LocalizedSemiring)._adopt(ctx, unit_set, *built.pop(i))
+        yield LocalizedSemiring(ctx, unit_set, *built.pop(i))
     if error is not None:
         raise error
 

@@ -12,29 +12,29 @@ from indigo.bounds import BOUNDS
 from indigo.cli import EXIT_OK, EXIT_VIOLATED, main
 from indigo.core import MUTANT_ENV
 
-# last k of each claim's range when k_max does not cut it: (safe, unsafe);
-# None runs to k_max
+# last k of each safe claim range when k_max does not cut it; None runs to
+# k_max, as every unsafe range does
 TOPS = {
-    "semiring-laws": (64, None),
-    "graph-diameter": (None, None),
-    "graph-girth": (None, None),
-    "graph-clique": (24, None),
-    "graph-chromatic": (24, None),
-    "ideal-lattice": (16, None),
-    "ideal-primes": (16, None),
-    "ideal-austere": (16, None),
-    "ideal-radicals": (16, None),
-    "ideal-principal-primes": (16, None),
-    "ideal-maximal": (16, None),
-    "spectrum-sierpinski": (16, None),
-    "localization": (10, None),
-    "ideal-semiring": (16, None),
-    "ideal-nilpotency": (16, None),
-    "poly-units": (4, 4),
-    "poly-idempotents": (4, 4),
-    "degree-morphism": (4, 4),
-    "window-idempotency": (3, 3),
-    "quadratic-irreducibility": (6, None),
+    "semiring-laws": 64,
+    "graph-diameter": None,
+    "graph-girth": None,
+    "graph-clique": 24,
+    "graph-chromatic": 24,
+    "ideal-lattice": 16,
+    "ideal-primes": 16,
+    "ideal-austere": 16,
+    "ideal-radicals": 16,
+    "ideal-principal-primes": 16,
+    "ideal-maximal": 16,
+    "spectrum-sierpinski": 16,
+    "localization": 10,
+    "ideal-semiring": 16,
+    "ideal-nilpotency": 16,
+    "poly-units": 4,
+    "poly-idempotents": 4,
+    "degree-morphism": 4,
+    "window-idempotency": 3,
+    "quadratic-irreducibility": 6,
 }
 
 
@@ -52,14 +52,41 @@ def test_each_claim_sees_its_range_and_shares_one_context_per_k(monkeypatch, k_m
     assert [c.name for c in claims] == list(TOPS)
     assert all(c.passed for c in claims)
     shared = {}
-    for name, (safe_top, unsafe_top) in TOPS.items():
-        top = unsafe_top if unsafe else safe_top
-        want = k_max if top is None else min(k_max, top)
+    for name, top in TOPS.items():
+        want = k_max if unsafe or top is None else min(k_max, top)
         assert [ctx.k for ctx in seen[name]] == list(range(1, want + 1)), name
         for ctx in seen[name]:
             assert ctx.mutant == "add-cap"
             assert shared.setdefault(ctx.k, ctx) is ctx, (name, ctx.k)
     assert sorted(shared) == list(range(1, k_max + 1))
+
+
+def set_mutant(monkeypatch, mutant):
+    if mutant is None:
+        monkeypatch.delenv(MUTANT_ENV, raising=False)
+    else:
+        monkeypatch.setenv(MUTANT_ENV, mutant)
+
+
+def test_every_claim_search_is_a_bound_row_and_every_row_is_read():
+    searches = {check[3] for check in checks._CHECKS} - {None}
+    assert searches <= set(BOUNDS)
+    for name, (_, text) in BOUNDS.items():
+        assert text or name in searches, name  # refused by the CLI, or bounds a claim
+
+
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_unsafe_sweep_past_the_series_bounds_reports_the_same_claims(capsys, monkeypatch, mutant):
+    # unsafe runs the series claims past their rows
+    k_max = str(max(BOUNDS["poly"][0], BOUNDS["window"][0]) + 1)
+    set_mutant(monkeypatch, mutant)
+    runs = []
+    for extra in ([], ["--unsafe-bound"]):
+        code = main(["verify-all", "--k-max", k_max, *extra])
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("claim ")]
+        runs.append((code, lines))
+    assert runs[0] == runs[1]
+    assert len(runs[0][1]) == len(checks._CHECKS)
 
 
 def _recorded_sweep_claims():
@@ -72,10 +99,7 @@ def _recorded_sweep_claims():
 
 @pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
 def test_sweep_claim_lines_match_the_benchmark_record(capsys, monkeypatch, mutant):
-    if mutant is None:
-        monkeypatch.delenv(MUTANT_ENV, raising=False)
-    else:
-        monkeypatch.setenv(MUTANT_ENV, mutant)
+    set_mutant(monkeypatch, mutant)
     code = main(["verify-all", "--k-max", "8"])
     lines = tuple(l for l in capsys.readouterr().out.splitlines() if l.startswith("claim "))
     assert lines == _recorded_sweep_claims()[mutant]
@@ -102,8 +126,5 @@ def readme_claim_limits():
 
 
 def test_readme_states_each_claims_limit():
-    want = {}
-    for name, _, _, search, cap in checks._CHECKS:
-        limits = [n for n in (cap, search and BOUNDS[search][0]) if n is not None]
-        want[name] = min(limits, default=None)
+    want = {name: search and BOUNDS[search][0] for name, _, _, search in checks._CHECKS}
     assert readme_claim_limits() == want

@@ -101,8 +101,9 @@ def test_power():
     assert c.power(fin(2), 3) == MANY
     assert c.power(fin(1), 10) == fin(1)
     assert c.power(ZERO, 3) == ZERO
-    with pytest.raises(ValueError):
-        c.power(fin(2), 0)
+    for bad in (0, True):
+        with pytest.raises(ValueError):
+            c.power(fin(2), bad)
 
 
 def test_elem_render_parse_roundtrip():

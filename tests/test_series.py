@@ -14,6 +14,7 @@ from reference import (
 )
 
 from indigo import checks, series
+from indigo.bounds import BOUNDS
 from indigo.core import (
     MANY,
     ZERO,
@@ -590,7 +591,7 @@ def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(series, "_convolve", counted)
     assert all(c.passed for c in checks.run_all_checks(8))
-    assert calls == list(range(1, checks._SWEEP_WINDOW_K + 1))
+    assert calls == list(range(1, BOUNDS["window"][0] + 1))
 
 
 @pytest.mark.slow
