@@ -16,6 +16,7 @@ crash the sweep.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Optional
@@ -26,8 +27,11 @@ from . import graphs, ideals, series
 from .bounds import BOUNDS
 from .core import MANY, SemiringCtx, fin, verify_laws
 
-# (k + 2)^6 windows of depth 5, squared in one batched call per k
+# (k + 2)^6 windows of depth 5, squared in batches of at most _WINDOW_CHUNK
+# windows in product order: one batch for every k <= 6, and memory that
+# does not grow as (k + 2)^6 past it
 _SWEEP_WINDOW_DEPTH = 5
+_WINDOW_CHUNK = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -278,12 +282,19 @@ def _degree_morphism(ctx: SemiringCtx) -> Optional[str]:
 
 def _window_idempotency(ctx: SemiringCtx) -> Optional[str]:
     depth = _SWEEP_WINDOW_DEPTH
-    windows = series.code_rows(ctx, depth + 1)
-    squares = series.convolve_batch(ctx, windows, windows, depth + 1)
-    wrong = (squares == windows).all(axis=1) != series.idempotent_shape(ctx, windows)
-    if wrong.any():
-        f = series.TruncSeries(ctx, depth, tuple(windows[wrong.argmax()].tolist()))
-        return f"idempotency tests disagree on {f.render()}"
+    head = 0  # leading codes fixed within a batch
+    while head < depth and ctx.size ** (depth + 1 - head) > _WINDOW_CHUNK:
+        head += 1
+    tails = series.code_rows(ctx, depth + 1 - head)
+    windows = np.empty((depth + 1, len(tails)), dtype=tails.dtype).T  # columns contiguous
+    windows[:, head:] = tails
+    for prefix in itertools.product(range(ctx.size), repeat=head):  # in product order
+        windows[:, :head] = prefix
+        squares = series.convolve_batch(ctx, windows, windows, depth + 1)
+        wrong = (squares == windows).all(axis=1) != series.idempotent_shape(ctx, windows)
+        if wrong.any():
+            f = series.TruncSeries(ctx, depth, tuple(windows[wrong.argmax()].tolist()))
+            return f"idempotency tests disagree on {f.render()}"
     if not series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth).squares_to_self():
         return "generated window is not idempotent"
     return None

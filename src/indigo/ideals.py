@@ -144,9 +144,10 @@ class _Closure:
         bits = np.where(member, np.array(self._mul_bits, dtype=np.uint64)[:, None], np.uint64(0))
         principal = self._positions(np.bitwise_or.reduce(bits, axis=2))  # [x, J]: x * J
         mul = np.full_like(add, index[1])  # {0} is neutral for the join
+        joins, n = add.ravel(), len(masks)
         for x, products in enumerate(principal):
             rows = np.flatnonzero(member[:, x])  # the ideals containing x
-            mul[rows] = add[mul[rows], products]
+            mul[rows] = joins.take(mul[rows] * n + products)
         add.flags.writeable = mul.flags.writeable = False
         return add, mul
 

@@ -4,11 +4,12 @@ Polynomials are dense tuples of element codes trimmed to canonical
 form.  A single product (a ``poly`` or ``series`` query, one window)
 is one scalar convolution that calls the rule ``ctx._cayley`` on Python
 ints, so it pays O(1) per cell it reads at any order k.  Exhaustive
-searches multiply whole arrays of code rows at once through the dense
-tables of ``ctx.tables()`` (``convolve_batch``), with the scalar
-convolution's semantics row for row.  Elements appear only at
-the boundary: the ``coeffs`` view, rendering, JSON, and the builders
-such as ``make_poly`` and ``parse_poly``, which encode once.  The
+searches multiply whole arrays of code rows at once (``convolve_batch``),
+with the scalar convolution's semantics row for row: each term of the
+convolution is one flat gather from a table of (k + 2)^3 cells fused
+from ``ctx.tables()``.  Elements appear only at the boundary: the
+``coeffs`` view, rendering, JSON, and the builders such as
+``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
 for max and absorbing for +, so degree is a morphism from multiplication
 and addition of polynomials into (max, +) arithmetic.
@@ -25,7 +26,7 @@ with both coefficients finite and nonzero it reduces to coprimality,
 and with a saturated coefficient only the two mixed shapes with a unit
 partner coefficient resist factoring.  ``factorization_oracle`` checks
 the closed form independently by exhausting candidate factorizations
-(``first_factorizations``, batched over the candidate partners).
+(``first_factorizations``, batched over chunks of candidate pairs).
 """
 
 from __future__ import annotations
@@ -82,17 +83,23 @@ def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
     other axes broadcast.  Row for row the result is the first n codes of
     the product, with zero terms skipped as in ``_convolve``, so a table
     cell a + 0 or 0 * b is read exactly where the scalar product reads it.
+
+    Each term is one gather from the fused table ``add[s, mul[a, b]]`` of
+    ``ctx.tables()``, with its planes a = 0 and b = 0 set to s: the skip.
+    The table has (k + 2)^3 cells and is built on each call.
     """
     dtype = code_dtype(ctx)
-    add, mul = (t.astype(dtype) for t in ctx.tables())
-    f, g = np.asarray(f, dtype=dtype), np.asarray(g, dtype=dtype)
+    add, mul = ctx.tables()
+    fused = add.astype(dtype)[:, mul]  # [s, a, b]
+    fused[:, 0] = fused[:, :, 0] = np.arange(ctx.size, dtype=dtype)[:, None]
+    index = np.min_scalar_type(ctx.size**3 - 1)  # a flat cell (s, a, b)
+    size = index.type(ctx.size)
+    f, g = np.asarray(f, dtype=index), np.asarray(g, dtype=index)
     out = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,), dtype=dtype)
     for i in range(min(f.shape[-1], n)):
         a = f[..., i]
         for j in range(min(g.shape[-1], n - i)):
-            b = g[..., j]
-            slot = out[..., i + j]
-            out[..., i + j] = np.where((a != 0) & (b != 0), add[slot, mul[a, b]], slot)
+            out[..., i + j] = fused.take((out[..., i + j] * size + a) * size + g[..., j])
     return out
 
 
@@ -417,6 +424,11 @@ def factorization_oracle(f: Poly) -> Optional[tuple]:
     return None if witness is None else tuple(Poly(ctx, codes) for codes in witness)
 
 
+# a batch of the factor search holds at most max(_PAIR_BUDGET, (k + 2)^3)
+# (g, h) pairs, or the pairs of one g
+_PAIR_BUDGET = 1 << 16
+
+
 def _nonunit_candidates(ctx: SemiringCtx, degree: int) -> np.ndarray:
     """Code rows of every polynomial of the given degree, in the product
     order of their coefficient tuples, leaving out the units: a unit
@@ -436,8 +448,10 @@ def first_factorizations(ctx: SemiringCtx, targets) -> list:
 
     The order is that of the exhaustive search: degree split d1 of g
     first, then g, then h, each in the product order of its coefficient
-    tuple.  The search walks one g at a time and multiplies it with
-    every candidate h at once, so memory stays O((k + 2)^(d + 1)).
+    tuple.  The search multiplies a chunk of consecutive g with every
+    candidate h in one batch, so a pair's flat position in the batch is
+    its place in that order.  A chunk holds at most max(2^16, (k + 2)^3)
+    pairs, or one g, which bounds memory.
     """
     targets = np.asarray(targets, dtype=np.int64)
     deg = targets.shape[1] - 1
@@ -445,16 +459,21 @@ def first_factorizations(ctx: SemiringCtx, targets) -> list:
     wanted = targets @ place
     found = [None] * len(targets)
     open_ = np.arange(len(targets))
+    budget = max(_PAIR_BUDGET, ctx.size**3)
     for d1 in range(deg // 2 + 1):
+        candidates = _nonunit_candidates(ctx, d1)
         partners = _nonunit_candidates(ctx, deg - d1)
-        for g in _nonunit_candidates(ctx, d1):
+        chunk = max(1, budget // max(1, len(partners)))
+        for start in range(0, len(candidates), chunk):
             if not len(open_):
                 return found
-            keys = convolve_batch(ctx, g, partners, deg + 1) @ place
-            order = np.argsort(keys, kind="stable")  # equal keys keep h order
+            gs = candidates[start : start + chunk]
+            keys = (convolve_batch(ctx, gs[:, None], partners[None], deg + 1) @ place).ravel()
+            order = np.argsort(keys, kind="stable")  # equal keys keep (g, h) order
             pos = np.searchsorted(keys[order], wanted[open_]).clip(max=len(keys) - 1)
             hit = keys[order[pos]] == wanted[open_]
-            for t, h in zip(open_[hit], order[pos[hit]]):
-                found[t] = (tuple(g.tolist()), tuple(partners[h].tolist()))
+            for t, pair in zip(open_[hit], order[pos[hit]]):
+                g, h = divmod(int(pair), len(partners))
+                found[t] = (tuple(gs[g].tolist()), tuple(partners[h].tolist()))
             open_ = open_[~hit]
     return found

@@ -559,6 +559,22 @@ def test_batched_arithmetic_is_exact_past_int8():
         assert tuple(s) == total + (0,) * (3 - len(total))
 
 
+@pytest.mark.parametrize("k", [38, 39, 254, 255])
+def test_batched_products_are_exact_where_the_index_type_widens(k):
+    # a flat cell index passes 2^16 at k = 39 and the codes pass 8 bits at
+    # k = 255; a product saturates to m, so wrapping would read a wrong cell
+    c = SemiringCtx(k)
+    rng = np.random.default_rng(k)
+    f = rng.integers(0, c.size, size=(200, 3))
+    g = rng.integers(0, c.size, size=(200, 3))
+    f[:100] = c.size - rng.integers(1, 4, size=(100, 3))  # near m
+    g[:50] = c.size - rng.integers(1, 4, size=(50, 3))
+    products = convolve_batch(c, f, g, 5)
+    assert products.dtype == code_dtype(c) and products.max() == c.size - 1
+    for a, b, p in zip(f.tolist(), g.tolist(), products.tolist()):
+        assert p == _convolve(c, a, b, 5)
+
+
 @pytest.mark.parametrize(
     "k,mutant",
     [(k, m) for k, m in CONTEXTS]
@@ -577,6 +593,41 @@ def test_window_shape_matches_the_per_window_rule(k, depths):
         got = idempotent_shape(c, np.array([w.codes for w in windows]))
         assert got.tolist() == [ref_idempotent_shape(w) for w in windows]
         assert [w.has_idempotent_shape() for w in windows] == got.tolist()
+
+
+@pytest.mark.parametrize(
+    "mutant,cell",
+    [(None, None), ("add-cap", None), ("mul-cap", None)]
+    + [(None, cell) for cell in (("mul", 0, 3, 2), ("add", 2, 0, 3), ("add", 0, 0, 1))],
+)
+def test_factor_search_is_the_same_in_small_chunks(monkeypatch, mutant, cell):
+    # the least budget leaves (k + 2)^3 pairs a batch: a few g at a time
+    monkeypatch.setattr(series, "_PAIR_BUDGET", 1)
+    if cell is not None:
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+    c = SemiringCtx(3, mutant=mutant)
+    assert_factor_search_matches_reference(c, [f for f in all_polys(c, 2) if f.codes])
+
+
+def test_window_claim_is_the_same_in_small_chunks(monkeypatch):
+    # under this fault the first wrong window is the 3641st, in the 30th
+    # chunk of 125 windows
+    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("add", 4, 3, 3, 3))
+    (window,) = [check for check in checks._CHECKS if check[0] == "window-idempotency"]
+    whole = checks._run(window, 3, False, SemiringCtx)
+    batches = []
+    batched = series.convolve_batch
+
+    def counted(ctx, *args):
+        batches.append(ctx.k)
+        return batched(ctx, *args)
+
+    monkeypatch.setattr(series, "convolve_batch", counted)
+    monkeypatch.setattr(checks, "_WINDOW_CHUNK", 125)
+    chunked = checks._run(window, 3, False, SemiringCtx)
+    assert whole.detail.startswith("k=3: idempotency tests disagree on ")
+    assert chunked == whole
+    assert batches.count(3) == 30
 
 
 def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
