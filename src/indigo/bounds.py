@@ -27,7 +27,7 @@ BOUNDS = {
     "chromatic": (EXACT_SEARCH_BOUND, "exact chromatic search is"),
     "ideals": (IDEAL_ENUM_BOUND, "ideal enumeration is"),
     "localization": (10, None),  # fractions over every multiplicative subset
-    "poly": (4, None),  # (k + 2)^3 polynomials of degree <= 2, all (k + 2)^6 pairs at once
-    "window": (3, None),  # (k + 2)^6 windows of depth 5, squared in one batch
+    "poly": (4, None),  # (k + 2)^3 polynomials of degree <= 2, (k + 2)^4 products for units
+    "window": (3, None),  # prefixes of the windows of depth 5, squared level by level
     "oracle": (ORACLE_BOUND, "factorization search is exhaustive;"),
 }

@@ -3,11 +3,13 @@
 Polynomials are dense tuples of element codes trimmed to canonical
 form.  A single product (a ``poly`` or ``series`` query, one window)
 is one scalar convolution that calls the rule ``ctx._cayley`` on Python
-ints, so it pays O(1) per cell it reads at any order k.  Exhaustive
-searches multiply whole arrays of code rows at once (``convolve_batch``),
-with the scalar convolution's semantics row for row: each term of the
-convolution is one flat gather from a table of (k + 2)^3 cells fused
-from ``ctx.tables()``.  Elements appear only at the boundary: the
+ints, so it pays O(1) per cell it reads at any order k.  The sweep's
+series claims and the factor search multiply whole arrays of code rows
+at once (``convolve_batch``), with the scalar convolution's semantics
+row for row: each term of the convolution is one flat gather from a
+table of (k + 2)^3 cells fused from ``ctx.tables()``, and coefficient t
+of a product reads only coefficients 0..t of its factors, so the window
+claim squares prefixes.  Elements appear only at the boundary: the
 ``coeffs`` view, rendering, JSON, and the builders such as
 ``make_poly`` and ``parse_poly``, which encode once.  The
 degree of the zero polynomial is negative infinity, which is neutral
@@ -44,6 +46,11 @@ from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, fin
 NEG_INFINITY = float("-inf")
 
 Degree = Union[int, float]
+
+
+def _is_count(n, least: int) -> bool:
+    """n is an int of at least ``least``, and not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= least
 
 
 def _check_codes(ctx: SemiringCtx, codes: tuple) -> None:
@@ -83,6 +90,7 @@ def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
     other axes broadcast.  Row for row the result is the first n codes of
     the product, with zero terms skipped as in ``_convolve``, so a table
     cell a + 0 or 0 * b is read exactly where the scalar product reads it.
+    Coefficient t of the result reads only coefficients 0..t of f and g.
 
     Each term is one gather from the fused table ``add[s, mul[a, b]]`` of
     ``ctx.tables()``, with its planes a = 0 and b = 0 set to s: the skip.
@@ -100,27 +108,6 @@ def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
         a = f[..., i]
         for j in range(min(g.shape[-1], n - i)):
             out[..., i + j] = fused.take((out[..., i + j] * size + a) * size + g[..., j])
-    return out
-
-
-def sum_batch(ctx: SemiringCtx, f, g) -> np.ndarray:
-    """``Poly.__add__`` over whole arrays of code rows of one width: each
-    trimmed pair is padded with 0 only up to the longer of the two, and
-    the slots past it stay 0."""
-    f, g = np.asarray(f), np.asarray(g)
-    width = np.maximum(code_lengths(f), code_lengths(g))
-    sums = ctx.tables()[0].astype(code_dtype(ctx))[f, g]
-    sums[np.arange(f.shape[-1]) >= width[..., None]] = 0
-    return sums
-
-
-def code_lengths(rows) -> np.ndarray:
-    """The length of each code row with its trailing zeros trimmed, so the
-    degree plus one, and 0 for the zero polynomial."""
-    rows = np.asarray(rows)
-    out = np.zeros(rows.shape[:-1], dtype=np.min_scalar_type(rows.shape[-1]))
-    for i in range(rows.shape[-1]):
-        out[rows[..., i] != 0] = i + 1
     return out
 
 
@@ -250,7 +237,7 @@ class TruncSeries:
     codes: tuple
 
     def __post_init__(self):
-        if not isinstance(self.depth, int) or self.depth < 0:
+        if not _is_count(self.depth, 0):
             raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
         if len(self.codes) != self.depth + 1:
             raise ValueError(
@@ -366,13 +353,13 @@ def idempotent_series_from_generators(
     many = ctx.encode(MANY)
     if constant not in (ctx.encode(ctx.one), many):
         raise ValueError("constant term of an idempotent window must be 1 or m")
-    gen_list = sorted(set(gens))
+    gen_list = list(gens)
     if not gen_list:
         raise ValueError("need at least one generator")
     for g in gen_list:
-        if not isinstance(g, int) or g < 1:
+        if not _is_count(g, 1):
             raise ValueError(f"generators must be integers >= 1, got {g!r}")
-    if not isinstance(depth, int) or depth < 0:
+    if not _is_count(depth, 0):
         raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
     reach = [False] * (depth + 1)
     reach[0] = True

@@ -15,6 +15,12 @@ shape rule and the exhaustive factor search one window and one candidate
 pair at a time, the search through the scalar ``series._convolve``, for
 the library's whole-array forms to be checked against.
 
+``ref_degree_morphism`` and ``ref_window_idempotency`` are the
+exhaustive scans the two series claims replaced: every pair of
+polynomials of degree <= 2, added by ``sum_batch`` and multiplied by
+``convolve_batch``, and every window of depth 5 squared.  The claims
+must report as they do under every rule.
+
 ``ref_semiring_tables`` builds the ideal semiring's tables in Python,
 one pair of ideals at a time, over the context's ideal closure, for the
 library's array build to be checked against cell by cell.
@@ -31,8 +37,10 @@ from itertools import product
 import numpy as np
 
 from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
+from indigo import series
+from indigo.checks import _poly
 from indigo.ideals import _closure
-from indigo.series import NEG_INFINITY, Poly, _convolve
+from indigo.series import NEG_INFINITY, Poly, _convolve, code_dtype
 
 
 def ref_add(ctx, a, b):
@@ -193,6 +201,76 @@ def ref_factorization(f):
                     continue
                 if _convolve(ctx, g, h, deg + 1) == target:
                     return (Poly(ctx, g), Poly(ctx, h))
+    return None
+
+
+def sum_batch(ctx, f, g):
+    """``Poly.__add__`` over whole arrays of code rows of one width: each
+    trimmed pair is padded with 0 only up to the longer of the two, and
+    the slots past it stay 0."""
+    f, g = np.asarray(f), np.asarray(g)
+    width = np.maximum(code_lengths(f), code_lengths(g))
+    sums = ctx.tables()[0].astype(code_dtype(ctx))[f, g]
+    sums[np.arange(f.shape[-1]) >= width[..., None]] = 0
+    return sums
+
+
+def code_lengths(rows):
+    """The length of each code row with its trailing zeros trimmed, so the
+    degree plus one, and 0 for the zero polynomial."""
+    rows = np.asarray(rows)
+    out = np.zeros(rows.shape[:-1], dtype=np.min_scalar_type(rows.shape[-1]))
+    for i in range(rows.shape[-1]):
+        out[rows[..., i] != 0] = i + 1
+    return out
+
+
+def ref_degree_morphism(ctx):
+    """The degree-morphism claim as a scan of every pair of polynomials of
+    degree <= 2: sums by ``sum_batch``, products by ``convolve_batch``."""
+    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    f, g = pool[:, None], pool[None]
+    # degree + 1, with 0 for the zero polynomial
+    lf, lg = code_lengths(f), code_lengths(g)
+    lsum = code_lengths(sum_batch(ctx, f, g))
+    lfg = code_lengths(series.convolve_batch(ctx, f, g, 5))
+    nonzero = (lf > 0) & (lg > 0)
+    problems = (
+        ("degree of sum breaks", lsum != np.maximum(lf, lg)),
+        ("degree of product breaks", lfg != np.where(nonzero, lf + lg - 1, 0)),
+    )
+    broken = np.logical_or.reduce([bad for _, bad in problems])
+    if broken.any():
+        i, j = np.argwhere(broken)[0]
+        what = next(what for what, bad in problems if bad[i, j])
+        return f"{what} at {_poly(ctx, pool[i]).render()}, {_poly(ctx, pool[j]).render()}"
+    return None
+
+
+# (k + 2)^6 windows of depth 5, squared in batches of at most _WINDOW_CHUNK
+# windows in product order: one batch for every k <= 6
+_WINDOW_CHUNK = 1 << 18
+
+
+def ref_window_idempotency(ctx):
+    """The window-idempotency claim as a scan of every window of depth 5:
+    each squared by ``convolve_batch`` and shaped by ``idempotent_shape``."""
+    depth = 5
+    head = 0  # leading codes fixed within a batch
+    while head < depth and ctx.size ** (depth + 1 - head) > _WINDOW_CHUNK:
+        head += 1
+    tails = series.code_rows(ctx, depth + 1 - head)
+    windows = np.empty((depth + 1, len(tails)), dtype=tails.dtype).T  # columns contiguous
+    windows[:, head:] = tails
+    for prefix in product(range(ctx.size), repeat=head):  # in product order
+        windows[:, :head] = prefix
+        squares = series.convolve_batch(ctx, windows, windows, depth + 1)
+        wrong = (squares == windows).all(axis=1) != series.idempotent_shape(ctx, windows)
+        if wrong.any():
+            f = series.TruncSeries(ctx, depth, tuple(windows[wrong.argmax()].tolist()))
+            return f"idempotency tests disagree on {f.render()}"
+    if not series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth).squares_to_self():
+        return "generated window is not idempotent"
     return None
 
 

@@ -11,12 +11,19 @@ per-law counts, since the canonical-map law alone fails under every fault.
 
 import random
 
+import numpy as np
 import pytest
-from reference import cell_corruptions, cell_fault, ref_semiring_tables
+from reference import (
+    cell_corruptions,
+    cell_fault,
+    ref_degree_morphism,
+    ref_semiring_tables,
+    ref_window_idempotency,
+)
 
-from indigo import checks
+from indigo import checks, series
 from indigo.core import LAW_NAMES, SemiringCtx, verify_laws
-from indigo.ideals import Ideal, _closure, enumerate_ideals, localize
+from indigo.ideals import Ideal, _closure, enumerate_ideals, ideal_semiring, localize
 
 K = 3
 
@@ -326,3 +333,98 @@ def test_ideal_semiring_claims_report_as_the_reference_loops(monkeypatch, name, 
         assert claim == run_claim(reference), cell
         failed += not claim.passed
     assert failed == FAILURE_COUNTS[name]
+
+
+def test_ideal_sum_is_idempotent_and_zerosumfree_under_every_fault(monkeypatch):
+    # why ideal-semiring no longer tests these: the sum is the closure of the
+    # union, and a closure only adds codes and fixes every ideal
+    built = 0
+    for cell in cell_corruptions(K):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        try:
+            ids = ideal_semiring(SemiringCtx(K))
+        except RuntimeError:  # {0} or {0, m} is not an ideal
+            continue
+        built += 1
+        at = np.arange(ids.size)
+        assert ids.is_additively_idempotent(), cell
+        assert ids.is_zerosumfree(), cell
+        assert (ids.add_table[:, ids.zero_index] == at).all(), cell
+    assert built == 152  # the other 48 faults leave {0} or {0, m} out
+
+
+# the series claims and the exhaustive scans they replaced
+SERIES_SCANS = {
+    "degree-morphism": ref_degree_morphism,
+    "window-idempotency": ref_window_idempotency,
+}
+
+
+def series_claim_and_scan(name):
+    (check,) = [check for check in checks._CHECKS if check[0] == name]
+    return check, check[:2] + (SERIES_SCANS[name],) + check[3:]
+
+
+@pytest.mark.parametrize("name", SERIES_SCANS)
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_series_claims_read_as_the_scans_at_every_k(name, mutant):
+    check, scan = series_claim_and_scan(name)
+    for k in range(1, 7):
+        ctx = SemiringCtx(k, mutant=mutant)
+        assert check[2](ctx) == scan[2](ctx), k
+
+
+def assert_series_claim_matches_the_scan(name, cells, k, monkeypatch):
+    """Each claim run unsafe to k_max = k under each fault, against the
+    scan; returns how many faults fail it."""
+    check, scan = series_claim_and_scan(name)
+    failed = 0
+    for cell in cells:
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, k))
+        claim = checks._run(check, k, True, SemiringCtx)
+        assert claim == checks._run(scan, k, True, SemiringCtx), cell
+        failed += not claim.passed
+    return failed
+
+
+@pytest.mark.parametrize("name", SERIES_SCANS)
+def test_series_claims_report_as_the_scans(monkeypatch, name):
+    failed = assert_series_claim_matches_the_scan(name, cell_corruptions(K), K, monkeypatch)
+    assert failed == FAILURE_COUNTS[name]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize(
+    "name, k", [("degree-morphism", 4), ("window-idempotency", 4), ("degree-morphism", 5)]
+)
+def test_series_claims_report_as_the_scans_under_every_fault(monkeypatch, name, k):
+    assert_series_claim_matches_the_scan(name, cell_corruptions(k), k, monkeypatch)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", SERIES_SCANS)
+def test_series_claims_report_as_the_scans_at_k8(monkeypatch, name):
+    """A seeded sample of the 1,800 single-cell faults at K = 8."""
+    cells = random.Random(0).sample(list(cell_corruptions(8)), 60)
+    assert_series_claim_matches_the_scan(name, cells, 8, monkeypatch)
+
+
+def test_window_prefix_search_extends_at_most_31_prefixes_a_level(monkeypatch):
+    # the search squares each level's candidates once: the prefixes kept
+    # from the level before, each extended by every code, so a level holds
+    # at most 31 (k + 2) rows; the last level keeps up to 63 and extends none
+    check, _ = series_claim_and_scan("window-idempotency")
+    extended = []
+    batched = series.convolve_batch
+
+    def counted(ctx, f, g, n):
+        extended.append(len(f) / ctx.size)
+        return batched(ctx, f, g, n)
+
+    monkeypatch.setattr(series, "convolve_batch", counted)
+    assert checks._run(check, 8, True, SemiringCtx).passed
+    assert extended == [1, 3, 5, 7, 11, 15] * 8
+    for cell in cell_corruptions(K):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, K))
+        checks._run(check, K, True, SemiringCtx)
+    assert max(extended) == 31

@@ -635,17 +635,24 @@ def test_ideal_semiring_claim_reports_the_first_ideal_at_fault(monkeypatch):
     c = ctx(3)
     ids = ideal_semiring(c)
     top = ids.index_of(Ideal(c, checks._maximal(c)))
-    least, full, zero = ids.ls_index, ids.one_index, ids.zero_index
+    least, full = ids.ls_index, ids.one_index
+    middle = top - 1  # {0, 3, m}, after {0, m}
     monkeypatch.setattr(ideals, "ideal_semiring", lambda _: ids)
-    clean = ids.add_table
+    clean = {"add_table": ids.add_table, "mul_table": ids.mul_table}
     for cells, want in (
-        ([(least, top)], "{0, m} escapes the maximal ideal"),
-        ([(least, top), (least, zero)], "neutral elements broken at {0, m}"),
-        ([(least, top), (top - 1, zero)], "{0, m} escapes the maximal ideal"),  # the first
+        ([("add_table", least, top)], "{0, m} escapes the maximal ideal"),
+        (
+            [("add_table", middle, top), ("mul_table", middle, full)],
+            "neutral elements broken at {0, 3, m}",
+        ),
+        (
+            [("add_table", least, top), ("mul_table", middle, full)],
+            "{0, m} escapes the maximal ideal",  # the first
+        ),
     ):
-        ids.add_table = clean
-        for cell in cells:
-            ids.add_table = with_cell(ids.add_table, *cell, full)
+        vars(ids).update(clean)
+        for table, i, j in cells:
+            setattr(ids, table, with_cell(getattr(ids, table), i, j, full))
         assert checks._ideal_semiring(c) == want, cells
 
 

@@ -11,6 +11,7 @@ from reference import (
     ref_factorization,
     ref_idempotent_shape,
     ref_mul,
+    sum_batch,
 )
 
 from indigo import checks, series
@@ -38,7 +39,6 @@ from indigo.series import (
     parse_poly,
     quadratic,
     quadratic_irreducible,
-    sum_batch,
     ts_is_idempotent_window,
 )
 
@@ -176,6 +176,23 @@ def test_constructors_accept_codes_and_keep_shape_errors():
         with pytest.raises(ValueError) as info:
             build()
         assert info.type is ValueError
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda c: TruncSeries(c, True, (1, 0)),
+        lambda c: make_series(c, True, (fin(1),)),
+        lambda c: idempotent_series_from_generators(c, MANY, [True], 3),
+        lambda c: idempotent_series_from_generators(c, MANY, [1, True], 3),
+        lambda c: idempotent_series_from_generators(c, MANY, [2], True),
+    ],
+    ids=["window-depth", "make-series-depth", "generator", "generator-beside-1", "gens-depth"],
+)
+def test_series_builders_reject_a_bool_depth_or_generator(build):
+    # True is an int in Python: taken as 1 it would render "(window depth True)"
+    with pytest.raises(ValueError, match="True"):
+        build(SemiringCtx(3))
 
 
 def test_builders_encode_elements_once():
@@ -607,27 +624,6 @@ def test_factor_search_is_the_same_in_small_chunks(monkeypatch, mutant, cell):
         monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
     c = SemiringCtx(3, mutant=mutant)
     assert_factor_search_matches_reference(c, [f for f in all_polys(c, 2) if f.codes])
-
-
-def test_window_claim_is_the_same_in_small_chunks(monkeypatch):
-    # under this fault the first wrong window is the 3641st, in the 30th
-    # chunk of 125 windows
-    monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault("add", 4, 3, 3, 3))
-    (window,) = [check for check in checks._CHECKS if check[0] == "window-idempotency"]
-    whole = checks._run(window, 3, False, SemiringCtx)
-    batches = []
-    batched = series.convolve_batch
-
-    def counted(ctx, *args):
-        batches.append(ctx.k)
-        return batched(ctx, *args)
-
-    monkeypatch.setattr(series, "convolve_batch", counted)
-    monkeypatch.setattr(checks, "_WINDOW_CHUNK", 125)
-    chunked = checks._run(window, 3, False, SemiringCtx)
-    assert whole.detail.startswith("k=3: idempotency tests disagree on ")
-    assert chunked == whole
-    assert batches.count(3) == 30
 
 
 def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
