@@ -5,7 +5,7 @@ with k, so the front ends bound them, and both read ``BOUNDS``: the CLI
 refuses a k past a search's bound (exit 3, lifted by ``--unsafe-bound``),
 and the verify-all sweep cuts the k range of each claim at the bound of
 the search behind it (lifted by ``unsafe``).  Every limit of either front
-end is a row here, the searches only the sweep runs included.
+end is a row here; only the sweep runs ``localization``.
 """
 
 LAW_CHECK_BOUND = 64
@@ -27,7 +27,5 @@ BOUNDS = {
     "chromatic": (EXACT_SEARCH_BOUND, "exact chromatic search is"),
     "ideals": (IDEAL_ENUM_BOUND, "ideal enumeration is"),
     "localization": (10, None),  # fractions over every multiplicative subset
-    "poly": (4, None),  # (k + 2)^3 polynomials of degree <= 2, (k + 2)^4 products for units
-    "window": (3, None),  # prefixes of the windows of depth 5, squared level by level
     "oracle": (ORACLE_BOUND, "factorization search is exhaustive;"),
 }

@@ -13,10 +13,10 @@ Checks never raise: an exception while computing is itself a failure,
 reported as ``error: <message>``, so a corrupted arithmetic rule cannot
 crash the sweep.
 
-The series claims ``window-idempotency`` (a prefix search) and
-``degree-morphism`` (a table over signatures) rest on the semantics of
-the batched kernels, not on exhaustive scans, so they stay exact under
-any rule, faulty ones included; the tests keep the scans as oracles.
+The series claims, a prefix search shared by ``poly-idempotents`` and
+``window-idempotency``, classes of coefficients and a table over
+signatures, rest on the semantics of the batched kernels, so they stay
+exact under any rule and have no bound; the scans are the tests' oracles.
 """
 
 from __future__ import annotations
@@ -227,30 +227,62 @@ def _poly(ctx: SemiringCtx, row) -> series.Poly:
     return series.make_poly(ctx, (ctx.decode(c) for c in row))
 
 
+def _firsts(keys) -> np.ndarray:
+    """The first index of each class of equal rows of the bool array ``keys``."""
+    rows = np.packbits(keys, axis=1)  # a row as one byte string
+    return np.unique(rows.view(f"V{rows.shape[1]}").ravel(), return_index=True)[1]
+
+
 def _poly_units(ctx: SemiringCtx) -> Optional[str]:
-    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
-    one = np.zeros(3, dtype=pool.dtype)
-    one[0] = ctx.encode(ctx.one)
-    # degree additivity confines inverses to constants: f times each constant
-    products = series.convolve_batch(ctx, pool[:, None], np.arange(ctx.size)[None, :, None], 3)
-    invertible = (products == one).all(axis=2).any(axis=1)
+    # Degree additivity confines inverses to constants, and f times c has
+    # coefficient t terms[f_t, c], so f's status reads the head only through
+    # (row == 1, code == 1) and the others through (row == 0, code == 0).
+    add, mul = ctx.tables()
+    one, codes = ctx.encode(ctx.one), np.arange(ctx.size)
+    terms = add[0, mul]  # [f_t, c]
+    terms[0] = terms[:, 0] = 0  # a term with a 0 factor is skipped
+    heads, tails = (_firsts(np.column_stack([terms == v, codes == v])) for v in (one, 0))
+    f0, f1, f2 = heads[:, None, None], tails[:, None], tails
+    invertible = ((terms[f0] == one) & (terms[f1] == 0) & (terms[f2] == 0)).any(axis=-1)
     # f is the unit 1 (Poly.is_unit) exactly when f equals the polynomial 1
-    wrong = invertible != (pool == one).all(axis=1)
-    if wrong.any():
-        return f"unit status of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
+    wrong = invertible != ((f0 == one) & (f1 == 0) & (f2 == 0))
+    if wrong.any():  # the first wrong f in product order
+        first = min(zip(*(f[wrong].tolist() for f in np.broadcast_arrays(f0, f1, f2))))
+        return f"unit status of {_poly(ctx, first).render()} is wrong"
     return None
 
 
+def _idempotency_search(ctx: SemiringCtx, width: int, shape: Callable) -> tuple:
+    """``(rows, squares, shaped)`` of the rows of ``width`` codes, in product order, that
+    square to themselves or pass ``shape``, grown a coefficient a level.  Square coefficient t
+    reads coefficients 0..t and ``shape`` fails every extension of a prefix it fails."""
+    prod, acc = series.term_tables(ctx)
+    rows = np.zeros((1, width), dtype=np.intp)  # codes, filled one column a level
+    squares = np.ones(1, dtype=bool)  # every coefficient so far squares to itself
+    for t in range(width):
+        rows = np.repeat(rows, ctx.size, axis=0)
+        rows[:, t] = np.arange(len(rows)) % ctx.size
+        square = np.zeros(len(rows), dtype=np.intp)  # coefficient t, as convolve_batch adds it
+        for term in prod.take(rows[:, : t + 1] * ctx.size + rows[:, t::-1]).T:  # f_i f_(t - i)
+            square = acc.take(term + square)
+        squares = np.repeat(squares, ctx.size) & (square == rows[:, t])
+        shaped = shape(ctx, rows[:, : t + 1])
+        kept = squares | shaped
+        rows, squares, shaped = rows[kept], squares[kept], shaped[kept]
+    return rows, squares, shaped
+
+
 def _poly_idempotents(ctx: SemiringCtx) -> Optional[str]:
-    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
-    squares = series.convolve_batch(ctx, pool, pool, 5)
-    idempotent = (squares[:, :3] == pool).all(axis=1) & (squares[:, 3:] == 0).all(axis=1)
-    # the constants 0, 1 and m
-    allowed = np.isin(pool[:, 0], (0, ctx.encode(ctx.one), ctx.encode(MANY)))
-    allowed &= (pool[:, 1:] == 0).all(axis=1)
-    wrong = idempotent != allowed
+    # degree <= 2 against the constants 0, 1 and m; a kept row is idempotent
+    # when coefficients 3 and 4 of its full square are 0 too
+    constant = np.bincount([0, ctx.encode(ctx.one), ctx.encode(MANY)], minlength=ctx.size) > 0
+    rows, squares, allowed = _idempotency_search(
+        ctx, 3, lambda ctx, rows: constant[rows[:, 0]] & (rows[:, 1:] == 0).all(axis=1)
+    )
+    squares &= (series.convolve_batch(ctx, rows, rows, 5)[:, 3:] == 0).all(axis=1)
+    wrong = squares != allowed
     if wrong.any():
-        return f"idempotency of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
+        return f"idempotency of {_poly(ctx, rows[wrong.argmax()]).render()} is wrong"
     return None
 
 
@@ -281,21 +313,8 @@ def _degree_morphism(ctx: SemiringCtx) -> Optional[str]:
 
 
 def _window_idempotency(ctx: SemiringCtx) -> Optional[str]:
-    # Prefixes grow one coefficient at a time in product order.  Coefficient
-    # t of a square reads only coefficients 0..t, and a prefix off the shape
-    # rule has no extension on it, so a prefix that fails both tests fails
-    # both on every extension: it cannot be the first disagreement.
     depth = 5
-    codes = np.arange(ctx.size, dtype=series.code_dtype(ctx))
-    rows = np.empty((1, 0), dtype=codes.dtype)
-    squares = np.ones(1, dtype=bool)  # every coefficient so far squares to itself
-    for t in range(depth + 1):
-        rows = np.column_stack([np.repeat(rows, ctx.size, axis=0), np.tile(codes, len(rows))])
-        square = series.convolve_batch(ctx, rows, rows, t + 1)[:, t]
-        squares = np.repeat(squares, ctx.size) & (square == rows[:, t])
-        shaped = series.idempotent_shape(ctx, rows)
-        kept = squares | shaped
-        rows, squares, shaped = rows[kept], squares[kept], shaped[kept]
+    rows, squares, shaped = _idempotency_search(ctx, depth + 1, series.idempotent_shape)
     wrong = squares != shaped
     if wrong.any():
         f = series.TruncSeries(ctx, depth, tuple(rows[wrong.argmax()].tolist()))
@@ -335,10 +354,10 @@ _CHECKS = (
     ("localization", "ideals.localization", _localization, "localization"),
     ("ideal-semiring", "ideals.semiring", _ideal_semiring, "ideals"),
     ("ideal-nilpotency", "ideals.nilpotency", _nilpotency, "ideals"),
-    ("poly-units", "series.units", _poly_units, "poly"),
-    ("poly-idempotents", "series.idempotents", _poly_idempotents, "poly"),
-    ("degree-morphism", "series.degree", _degree_morphism, "poly"),
-    ("window-idempotency", "series.windows", _window_idempotency, "window"),
+    ("poly-units", "series.units", _poly_units, None),
+    ("poly-idempotents", "series.idempotents", _poly_idempotents, None),
+    ("degree-morphism", "series.degree", _degree_morphism, None),
+    ("window-idempotency", "series.windows", _window_idempotency, None),
     ("quadratic-irreducibility", "series.quadratics", _quadratics, "oracle"),
 )
 

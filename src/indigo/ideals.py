@@ -604,12 +604,11 @@ def nilpotency_index(ctx: SemiringCtx) -> int:
     an n-fold product of elements >= 2 then exceeds k.
     """
     ids = IdealSemiring(ctx)
-    mul = ids.mul_table.tolist()
     factors = [i for i in range(ids.size) if i not in (ids.zero_index, ids.one_index)]
-    current = set(factors)
+    current = np.array(factors, dtype=np.intp)  # the n-fold products, sorted
     n = 1
-    while current != {ids.ls_index}:
-        current = {mul[i][j] for i in current for j in factors}
+    while current.tolist() != [ids.ls_index]:
+        current = np.flatnonzero(np.bincount(ids.mul_table[np.ix_(current, factors)].ravel()))
         n += 1
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")

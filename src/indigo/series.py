@@ -1,20 +1,19 @@
 """Polynomials and truncated power series over Indigenous semirings.
 
-Polynomials are dense tuples of element codes trimmed to canonical
-form.  A single product (a ``poly`` or ``series`` query, one window)
-is one scalar convolution that calls the rule ``ctx._cayley`` on Python
-ints, so it pays O(1) per cell it reads at any order k.  The sweep's
-series claims and the factor search multiply whole arrays of code rows
-at once (``convolve_batch``), with the scalar convolution's semantics
-row for row: each term of the convolution is one flat gather from a
-table of (k + 2)^3 cells fused from ``ctx.tables()``, and coefficient t
-of a product reads only coefficients 0..t of its factors, so the window
-claim squares prefixes.  Elements appear only at the boundary: the
-``coeffs`` view, rendering, JSON, and the builders such as
-``make_poly`` and ``parse_poly``, which encode once.  The
-degree of the zero polynomial is negative infinity, which is neutral
-for max and absorbing for +, so degree is a morphism from multiplication
-and addition of polynomials into (max, +) arithmetic.
+Polynomials are dense tuples of element codes trimmed to canonical form.
+A single product (a ``poly`` or ``series`` query, one window) is one
+scalar convolution that calls the rule ``ctx._cayley`` on Python ints,
+so it pays O(1) per cell it reads at any order k.  The sweep's series
+claims and the factor search multiply whole arrays of code rows at once
+(``convolve_batch``), with the scalar convolution's semantics row for
+row: each term is two flat gathers from ``ctx.tables()`` with a skip
+code, and coefficient t of a product reads only coefficients 0..t of its
+factors, so the idempotency claims square prefixes.  Elements appear only
+at the boundary: the ``coeffs`` view, rendering, JSON, and the builders
+such as ``make_poly`` and ``parse_poly``, which encode once.  The degree
+of the zero polynomial is negative infinity, which is neutral for max
+and absorbing for +, so degree is a morphism from multiplication and
+addition of polynomials into (max, +) arithmetic.
 
 Truncated series are fixed windows of depth N: coefficients 0..N with
 multiplication cut off beyond the window.  Idempotent windows have a
@@ -77,10 +76,13 @@ def code_dtype(ctx: SemiringCtx) -> np.dtype:
     return np.min_scalar_type(ctx.size - 1)
 
 
-def code_rows(ctx: SemiringCtx, width: int) -> np.ndarray:
-    """Every row of ``width`` codes, in the product order of the tuples."""
-    shape = (ctx.size,) * width
-    return np.indices(shape, dtype=code_dtype(ctx)).reshape(width, -1).T
+def term_tables(ctx: SemiringCtx) -> tuple:
+    """Flat ``(prod, acc)`` in ``np.intp``: a term a * b adds to s as ``acc[prod[a size + b] + s]``.
+    A product with a 0 factor is one extra code, skip, at which ``acc`` leaves s unchanged."""
+    add, mul = ctx.tables()
+    prod = mul.astype(np.intp) * ctx.size  # [a, b], rows of acc
+    prod[0] = prod[:, 0] = ctx.size**2
+    return prod.ravel(), np.append(add.T, np.arange(ctx.size))  # [p, s]
 
 
 def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
@@ -91,23 +93,16 @@ def convolve_batch(ctx: SemiringCtx, f, g, n: int) -> np.ndarray:
     the product, with zero terms skipped as in ``_convolve``, so a table
     cell a + 0 or 0 * b is read exactly where the scalar product reads it.
     Coefficient t of the result reads only coefficients 0..t of f and g.
-
-    Each term is one gather from the fused table ``add[s, mul[a, b]]`` of
-    ``ctx.tables()``, with its planes a = 0 and b = 0 set to s: the skip.
-    The table has (k + 2)^3 cells and is built on each call.
+    Each term is the two gathers of ``term_tables``, and each i adds f_i g_j
+    to every coefficient in one pass, i ascending.
     """
-    dtype = code_dtype(ctx)
-    add, mul = ctx.tables()
-    fused = add.astype(dtype)[:, mul]  # [s, a, b]
-    fused[:, 0] = fused[:, :, 0] = np.arange(ctx.size, dtype=dtype)[:, None]
-    index = np.min_scalar_type(ctx.size**3 - 1)  # a flat cell (s, a, b)
-    size = index.type(ctx.size)
-    f, g = np.asarray(f, dtype=index), np.asarray(g, dtype=index)
-    out = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,), dtype=dtype)
+    prod, acc = term_tables(ctx)
+    f, g = np.asarray(f, dtype=np.intp) * ctx.size, np.asarray(g, dtype=np.intp)
+    out = np.zeros(np.broadcast_shapes(f.shape[:-1], g.shape[:-1]) + (n,), dtype=code_dtype(ctx))
     for i in range(min(f.shape[-1], n)):
-        a = f[..., i]
-        for j in range(min(g.shape[-1], n - i)):
-            out[..., i + j] = fused.take((out[..., i + j] * size + a) * size + g[..., j])
+        b = g[..., : n - i]
+        t = slice(i, i + b.shape[-1])  # the coefficients f_i b reaches
+        out[..., t] = acc.take(prod.take(f[..., i, None] + b) + out[..., t])
     return out
 
 
@@ -411,8 +406,8 @@ def factorization_oracle(f: Poly) -> Optional[tuple]:
     return None if witness is None else tuple(Poly(ctx, codes) for codes in witness)
 
 
-# a batch of the factor search holds at most max(_PAIR_BUDGET, (k + 2)^3)
-# (g, h) pairs, or the pairs of one g
+# a batch of the factor search holds at most this many (g, h) pairs, or
+# the pairs of one g
 _PAIR_BUDGET = 1 << 16
 
 
@@ -421,7 +416,7 @@ def _nonunit_candidates(ctx: SemiringCtx, degree: int) -> np.ndarray:
     order of their coefficient tuples, leaving out the units: a unit
     factor must be a constant with a constant inverse, since degree is
     additive and nothing of positive degree divides 1."""
-    rows = code_rows(ctx, degree + 1)
+    rows = np.indices((ctx.size,) * (degree + 1), dtype=code_dtype(ctx)).reshape(degree + 1, -1).T
     keep = rows[:, -1] != 0
     if degree == 0:
         keep &= ~(ctx.tables()[1] == ctx.encode(ctx.one)).any(axis=1)
@@ -437,8 +432,8 @@ def first_factorizations(ctx: SemiringCtx, targets) -> list:
     first, then g, then h, each in the product order of its coefficient
     tuple.  The search multiplies a chunk of consecutive g with every
     candidate h in one batch, so a pair's flat position in the batch is
-    its place in that order.  A chunk holds at most max(2^16, (k + 2)^3)
-    pairs, or one g, which bounds memory.
+    its place in that order.  A chunk holds at most 2^16 pairs, or one g,
+    which bounds memory.
     """
     targets = np.asarray(targets, dtype=np.int64)
     deg = targets.shape[1] - 1
@@ -446,11 +441,10 @@ def first_factorizations(ctx: SemiringCtx, targets) -> list:
     wanted = targets @ place
     found = [None] * len(targets)
     open_ = np.arange(len(targets))
-    budget = max(_PAIR_BUDGET, ctx.size**3)
     for d1 in range(deg // 2 + 1):
         candidates = _nonunit_candidates(ctx, d1)
         partners = _nonunit_candidates(ctx, deg - d1)
-        chunk = max(1, budget // max(1, len(partners)))
+        chunk = max(1, _PAIR_BUDGET // max(1, len(partners)))
         for start in range(0, len(candidates), chunk):
             if not len(open_):
                 return found

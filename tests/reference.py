@@ -15,11 +15,17 @@ shape rule and the exhaustive factor search one window and one candidate
 pair at a time, the search through the scalar ``series._convolve``, for
 the library's whole-array forms to be checked against.
 
-``ref_degree_morphism`` and ``ref_window_idempotency`` are the
-exhaustive scans the two series claims replaced: every pair of
-polynomials of degree <= 2, added by ``sum_batch`` and multiplied by
-``convolve_batch``, and every window of depth 5 squared.  The claims
-must report as they do under every rule.
+``ref_degree_morphism``, ``ref_window_idempotency``, ``ref_poly_units``
+and ``ref_poly_idempotents`` are the exhaustive scans the four series
+claims replaced: every pair of polynomials of degree <= 2, added by
+``sum_batch`` and multiplied by ``convolve_batch``, every window of
+depth 5 squared, every polynomial of degree <= 2 times every constant,
+and every one squared.  The claims must report as they do under every
+rule.  ``code_rows`` lists their pools: every row of a width, in
+product order.
+
+``ref_nilpotency_index`` is the set iteration the library's array
+iteration replaced, over the product table read as lists.
 
 ``ref_semiring_tables`` builds the ideal semiring's tables in Python,
 one pair of ideals at a time, over the context's ideal closure, for the
@@ -39,7 +45,7 @@ import numpy as np
 from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
 from indigo import series
 from indigo.checks import _poly
-from indigo.ideals import _closure
+from indigo.ideals import IdealSemiring, _closure
 from indigo.series import NEG_INFINITY, Poly, _convolve, code_dtype
 
 
@@ -204,6 +210,11 @@ def ref_factorization(f):
     return None
 
 
+def code_rows(ctx, width):
+    """Every row of ``width`` codes, in the product order of the tuples."""
+    return np.indices((ctx.size,) * width, dtype=code_dtype(ctx)).reshape(width, -1).T
+
+
 def sum_batch(ctx, f, g):
     """``Poly.__add__`` over whole arrays of code rows of one width: each
     trimmed pair is padded with 0 only up to the longer of the two, and
@@ -228,7 +239,7 @@ def code_lengths(rows):
 def ref_degree_morphism(ctx):
     """The degree-morphism claim as a scan of every pair of polynomials of
     degree <= 2: sums by ``sum_batch``, products by ``convolve_batch``."""
-    pool = series.code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    pool = code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
     f, g = pool[:, None], pool[None]
     # degree + 1, with 0 for the zero polynomial
     lf, lg = code_lengths(f), code_lengths(g)
@@ -259,7 +270,7 @@ def ref_window_idempotency(ctx):
     head = 0  # leading codes fixed within a batch
     while head < depth and ctx.size ** (depth + 1 - head) > _WINDOW_CHUNK:
         head += 1
-    tails = series.code_rows(ctx, depth + 1 - head)
+    tails = code_rows(ctx, depth + 1 - head)
     windows = np.empty((depth + 1, len(tails)), dtype=tails.dtype).T  # columns contiguous
     windows[:, head:] = tails
     for prefix in product(range(ctx.size), repeat=head):  # in product order
@@ -272,6 +283,53 @@ def ref_window_idempotency(ctx):
     if not series.idempotent_series_from_generators(ctx, MANY, [2, 3], depth).squares_to_self():
         return "generated window is not idempotent"
     return None
+
+
+def ref_poly_units(ctx):
+    """The poly-units claim as a scan of every polynomial of degree <= 2
+    times every constant."""
+    pool = code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    one = np.zeros(3, dtype=pool.dtype)
+    one[0] = ctx.encode(ctx.one)
+    # degree additivity confines inverses to constants: f times each constant
+    products = series.convolve_batch(ctx, pool[:, None], np.arange(ctx.size)[None, :, None], 3)
+    invertible = (products == one).all(axis=2).any(axis=1)
+    # f is the unit 1 (Poly.is_unit) exactly when f equals the polynomial 1
+    wrong = invertible != (pool == one).all(axis=1)
+    if wrong.any():
+        return f"unit status of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
+    return None
+
+
+def ref_poly_idempotents(ctx):
+    """The poly-idempotents claim as a scan of every polynomial of degree
+    <= 2, each squared."""
+    pool = code_rows(ctx, 3)  # degree <= 2, trailing zeros kept
+    squares = series.convolve_batch(ctx, pool, pool, 5)
+    idempotent = (squares[:, :3] == pool).all(axis=1) & (squares[:, 3:] == 0).all(axis=1)
+    # the constants 0, 1 and m
+    allowed = np.isin(pool[:, 0], (0, ctx.encode(ctx.one), ctx.encode(MANY)))
+    allowed &= (pool[:, 1:] == 0).all(axis=1)
+    wrong = idempotent != allowed
+    if wrong.any():
+        return f"idempotency of {_poly(ctx, pool[wrong.argmax()]).render()} is wrong"
+    return None
+
+
+def ref_nilpotency_index(ctx):
+    """``ideals.nilpotency_index`` as a Python set iteration over the
+    ideal semiring's product table, read once as lists."""
+    ids = IdealSemiring(ctx)
+    mul = ids.mul_table.tolist()
+    factors = [i for i in range(ids.size) if i not in (ids.zero_index, ids.one_index)]
+    current = set(factors)
+    n = 1
+    while current != {ids.ls_index}:
+        current = {mul[i][j] for i in current for j in factors}
+        n += 1
+        if n > 2 * ctx.k + 2:
+            raise RuntimeError("nilpotency iteration failed to stabilize")
+    return n
 
 
 _CLEAN_RULE = SemiringCtx._cayley

@@ -17,6 +17,8 @@ from reference import (
     cell_corruptions,
     cell_fault,
     ref_degree_morphism,
+    ref_poly_idempotents,
+    ref_poly_units,
     ref_semiring_tables,
     ref_window_idempotency,
 )
@@ -355,6 +357,8 @@ def test_ideal_sum_is_idempotent_and_zerosumfree_under_every_fault(monkeypatch):
 
 # the series claims and the exhaustive scans they replaced
 SERIES_SCANS = {
+    "poly-units": ref_poly_units,
+    "poly-idempotents": ref_poly_idempotents,
     "degree-morphism": ref_degree_morphism,
     "window-idempotency": ref_window_idempotency,
 }
@@ -395,7 +399,14 @@ def test_series_claims_report_as_the_scans(monkeypatch, name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize(
-    "name, k", [("degree-morphism", 4), ("window-idempotency", 4), ("degree-morphism", 5)]
+    "name, k",
+    [
+        ("poly-units", 4),
+        ("poly-idempotents", 4),
+        ("degree-morphism", 4),
+        ("window-idempotency", 4),
+        ("degree-morphism", 5),
+    ],
 )
 def test_series_claims_report_as_the_scans_under_every_fault(monkeypatch, name, k):
     assert_series_claim_matches_the_scan(name, cell_corruptions(k), k, monkeypatch)
@@ -415,13 +426,13 @@ def test_window_prefix_search_extends_at_most_31_prefixes_a_level(monkeypatch):
     # at most 31 (k + 2) rows; the last level keeps up to 63 and extends none
     check, _ = series_claim_and_scan("window-idempotency")
     extended = []
-    batched = series.convolve_batch
+    shape = series.idempotent_shape
 
-    def counted(ctx, f, g, n):
-        extended.append(len(f) / ctx.size)
-        return batched(ctx, f, g, n)
+    def counted(ctx, rows):
+        extended.append(len(rows) / ctx.size)
+        return shape(ctx, rows)
 
-    monkeypatch.setattr(series, "convolve_batch", counted)
+    monkeypatch.setattr(series, "idempotent_shape", counted)
     assert checks._run(check, 8, True, SemiringCtx).passed
     assert extended == [1, 3, 5, 7, 11, 15] * 8
     for cell in cell_corruptions(K):

@@ -751,6 +751,14 @@ def test_poly_and_series_at_large_k_fit_a_time_and_memory_limit():
     assert "series: m + m X^2 (window depth 3)\n" in proc.stdout
 
 
+def test_sweep_at_large_k_fits_a_time_and_memory_limit():
+    """The series claims have no bound, so they run to k = 200 here, and
+    none of them may build a table that grows as (k + 2)^3."""
+    proc = run_limited("verify-all", "--k-max", "200")
+    assert proc.returncode == EXIT_OK, proc.stdout + proc.stderr
+    assert "status: ok" in proc.stdout
+
+
 def run_child_into_closed_pipe(args, env):
     """Run a child whose stdout is a pipe that nobody reads from.
 

@@ -17,6 +17,7 @@ from reference import (
     ref_is_prime,
     ref_is_subtractive,
     ref_mul,
+    ref_nilpotency_index,
     ref_semiring_tables,
 )
 
@@ -230,7 +231,7 @@ def test_mask_predicates_read_the_closure_code_lists():
     cells as code lists for every mask predicate, by the unit-set check
     and by localization (``LocalizedSemiring`` and its grouped builder
     ``_fractions``); the mask predicates build no arrays, and nilpotency
-    reads the ideal semiring's product table, once, as lists."""
+    reads the ideal semiring's product table, not the closure."""
     tree = ast.parse(inspect.getsource(ideals))
     dense_readers = set()
     for top in tree.body:
@@ -240,7 +241,7 @@ def test_mask_predicates_read_the_closure_code_lists():
             assert getattr(node, "id", getattr(node, "name", None)) != "_member"
     assert dense_readers == {"_Closure", "_unit_codes", "LocalizedSemiring", "_fractions"}
     defs = {top.name: top for top in tree.body if hasattr(top, "name")}
-    for name in ("Ideal", "is_prime", "is_subtractive", "radical", "nilpotency_index"):
+    for name in ("Ideal", "is_prime", "is_subtractive", "radical"):
         names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
         assert "np" not in names, name
     assert not {"enumerate_ideals", "_Closure"} & {
@@ -701,6 +702,33 @@ def test_nilpotency_index_matches_pairwise_products(k, mutant):
             nilpotency_index(c)
     else:
         assert nilpotency_index(c) == want
+
+
+def nilpotency_outcome(find, c):
+    """The index ``find`` gives at c, or the text of the error it raises."""
+    try:
+        return find(c)
+    except RuntimeError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mutant", CONTEXTS)
+def test_nilpotency_index_matches_the_set_iteration(mutant):
+    for k in range(1, 17):
+        c = SemiringCtx(k, mutant=mutant)
+        want = nilpotency_outcome(ref_nilpotency_index, c)
+        assert nilpotency_outcome(nilpotency_index, c) == want, k
+
+
+def test_nilpotency_index_matches_the_set_iteration_under_every_fault(monkeypatch):
+    outcomes = set()
+    for cell in cell_corruptions(3):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+        c = SemiringCtx(3)
+        want = nilpotency_outcome(ref_nilpotency_index, c)
+        assert nilpotency_outcome(nilpotency_index, c) == want, cell
+        outcomes.add(want)
+    assert outcomes >= {2, 3, "nilpotency iteration failed to stabilize"}
 
 
 @pytest.mark.parametrize("mutant", CONTEXTS)

@@ -15,7 +15,6 @@ from reference import (
 )
 
 from indigo import checks, series
-from indigo.bounds import BOUNDS
 from indigo.core import (
     MANY,
     ZERO,
@@ -578,8 +577,9 @@ def test_batched_arithmetic_is_exact_past_int8():
 
 @pytest.mark.parametrize("k", [38, 39, 254, 255])
 def test_batched_products_are_exact_where_the_index_type_widens(k):
-    # a flat cell index passes 2^16 at k = 39 and the codes pass 8 bits at
-    # k = 255; a product saturates to m, so wrapping would read a wrong cell
+    # a flat index p (k + 2) + s can pass 8 bits from k = 14 and the codes
+    # pass them at k = 255; a product saturates to m, so an index computed
+    # in the code type would wrap and read a wrong cell
     c = SemiringCtx(k)
     rng = np.random.default_rng(k)
     f = rng.integers(0, c.size, size=(200, 3))
@@ -590,6 +590,34 @@ def test_batched_products_are_exact_where_the_index_type_widens(k):
     assert products.dtype == code_dtype(c) and products.max() == c.size - 1
     for a, b, p in zip(f.tolist(), g.tolist(), products.tolist()):
         assert p == _convolve(c, a, b, 5)
+
+
+def first_operand(ctx, op, a, b):
+    """A rule under which neither + nor * commutes: a sum is its first
+    nonzero operand and a product its left factor."""
+    a = np.asarray(a)
+    return np.where(a != 0, a, b) if op == "add" else a + 0 * np.asarray(b)
+
+
+@pytest.mark.parametrize(
+    "k,mutant", [(3, None), (3, "add-cap"), (3, "mul-cap"), (3, first_operand), (38, None)]
+)
+def test_idempotency_search_squares_as_the_batched_kernel(monkeypatch, k, mutant):
+    # with a shape test that passes nothing, the prefix search keeps exactly
+    # the rows that convolve_batch squares to themselves; its own fold of
+    # each level's square coefficient adds the terms in the kernel's order,
+    # which only a rule whose + and * both fail to commute can tell apart,
+    # and indexes past 8 bits at k = 38
+    if callable(mutant):
+        monkeypatch.setattr(SemiringCtx, "_cayley", mutant)
+        mutant = None
+    c = SemiringCtx(k, mutant=mutant)
+    never = lambda ctx, rows: np.zeros(len(rows), dtype=bool)  # noqa: E731
+    rows, squares, shaped = checks._idempotency_search(c, 3, never)
+    pool = code_rows(c, 3)
+    want = pool[(convolve_batch(c, pool, pool, 3) == pool).all(axis=1)]
+    assert rows.tolist() == want.tolist() and squares.all() and not shaped.any()
+    assert len(want) > 1
 
 
 @pytest.mark.parametrize(
@@ -618,7 +646,7 @@ def test_window_shape_matches_the_per_window_rule(k, depths):
     + [(None, cell) for cell in (("mul", 0, 3, 2), ("add", 2, 0, 3), ("add", 0, 0, 1))],
 )
 def test_factor_search_is_the_same_in_small_chunks(monkeypatch, mutant, cell):
-    # the least budget leaves (k + 2)^3 pairs a batch: a few g at a time
+    # the least budget leaves one g a batch
     monkeypatch.setattr(series, "_PAIR_BUDGET", 1)
     if cell is not None:
         monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
@@ -628,7 +656,7 @@ def test_factor_search_is_the_same_in_small_chunks(monkeypatch, mutant, cell):
 
 def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
     # only the generated window of window-idempotency is squared by the
-    # scalar convolution, once per k of that claim
+    # scalar convolution, once per k: the claim has no bound
     calls = []
     scalar = series._convolve
 
@@ -638,7 +666,7 @@ def test_sweep_multiplies_no_pair_one_at_a_time(monkeypatch):
 
     monkeypatch.setattr(series, "_convolve", counted)
     assert all(c.passed for c in checks.run_all_checks(8))
-    assert calls == list(range(1, BOUNDS["window"][0] + 1))
+    assert calls == list(range(1, 9))
 
 
 @pytest.mark.slow
