@@ -34,6 +34,12 @@ library's array build to be checked against cell by cell.
 ``multiplicative_subsets`` lists the unit sets closed under ``ref_mul``,
 for the sweep's own enumeration and the localization tests.
 
+``ref_verify_laws`` is ``verify_laws`` as its scans stood before they
+were narrowed: every scan on ``int32`` tables, distributivity on two
+gathers in [a, b, c] layout, monotonicity over every triple, and the
+canonical map over the window [0, 3k] of naturals.  The library's
+quadratic and narrow scans must report as it does under every rule.
+
 ``cell_fault`` and ``cell_corruptions`` inject one wrong cell into the
 rule itself, so every arithmetic path of the library sees it.
 """
@@ -42,8 +48,8 @@ from itertools import product
 
 import numpy as np
 
-from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
-from indigo import series
+from indigo.core import MANY, ZERO, ContextMismatchError, LAW_NAMES, LawReport, SemiringCtx, fin
+from indigo import kernels, series
 from indigo.checks import _poly
 from indigo.ideals import IdealSemiring, _closure
 from indigo.series import NEG_INFINITY, Poly, _convolve, code_dtype
@@ -330,6 +336,62 @@ def ref_nilpotency_index(ctx):
         if n > 2 * ctx.k + 2:
             raise RuntimeError("nilpotency iteration failed to stabilize")
     return n
+
+
+def ref_monotonicity_break(t):
+    """First (a, b, c) with a < b but t[a, c] > t[b, c], over every triple."""
+    n = t.shape[0]
+    bad = t[:, None, :] > t[None, :, :]  # [a, b, c] = t[a, c] > t[b, c]
+    bad &= np.triu(np.ones((n, n), dtype=bool), 1)[:, :, None]
+    return kernels._first(bad)
+
+
+def ref_distributivity_break(add_t, mul_t):
+    """First (a, b, c) with a * (b + c) != a * b + a * c, in [a, b, c] layout."""
+    lhs = mul_t[:, add_t]  # [a, b, c] = mul_t[a, add_t[b, c]]
+    rhs = add_t[mul_t[:, :, None], mul_t[:, None, :]]
+    return kernels._first(lhs != rhs)
+
+
+def ref_canonical_map_break(k, add_t, mul_t):
+    """First pair of naturals in the window [0, 3k] whose sum or product
+    the tables do not send to the image under the canonical map."""
+    xs = np.arange(0, 3 * k + 1, dtype=np.int64)
+    codes = np.where(xs <= k, xs, k + 1)
+    for op, table in ((np.add, add_t), (np.multiply, mul_t)):
+        raw = op.outer(xs, xs)
+        expected = np.where(raw <= k, raw, k + 1)
+        bad = expected != table[codes[:, None], codes[None, :]]
+        if bad.any():
+            i, j = np.argwhere(bad)[0]
+            return (int(xs[i]), int(xs[j]))
+    return None
+
+
+def ref_verify_laws(ctx):
+    """The 14 law reports, from the scans in their earlier form."""
+    add_t, mul_t = (t.astype(np.int32) for t in ctx.tables())
+    scans = [
+        kernels.first_commutativity_break(add_t),
+        kernels.first_associativity_break(add_t),
+        kernels.first_commutativity_break(mul_t),
+        kernels.first_associativity_break(mul_t),
+        ref_distributivity_break(add_t, mul_t),
+        kernels.first_identity_break(mul_t, 1),
+        kernels.first_identity_break(add_t, 0),
+        kernels.first_absorption_break(mul_t, 0),
+        kernels.first_zero_divisor(mul_t),
+        kernels.first_zero_sum(add_t),
+        ref_monotonicity_break(add_t),
+        ref_monotonicity_break(mul_t),
+        kernels.first_order_break(add_t),
+    ]
+    reports = [
+        LawReport.from_counterexample(law, None if ce is None else tuple(map(ctx.decode, ce)))
+        for law, ce in zip(LAW_NAMES, scans)
+    ]
+    ce = ref_canonical_map_break(ctx.k, add_t, mul_t)
+    return reports + [LawReport.from_counterexample(LAW_NAMES[-1], ce)]
 
 
 _CLEAN_RULE = SemiringCtx._cayley

@@ -1,5 +1,7 @@
 import ast
 import gc
+import random
+import tracemalloc
 import weakref
 from itertools import combinations
 from pathlib import Path
@@ -8,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import cell_fault, ref_add, ref_mul
+from reference import cell_corruptions, cell_fault, ref_add, ref_mul, ref_verify_laws
 
 from indigo import LAW_CHECK_BOUND, cli, graphs
 from indigo.core import (
@@ -340,6 +342,61 @@ def test_every_single_cell_corruption_breaks_a_law():
                     assert not all(r.holds for r in reports), (k, which, i, j, wrong)
                     corruptions += 1
     assert corruptions == 2176
+
+
+@pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
+def test_laws_match_the_cubic_scans_up_to_the_bound(mutant):
+    for k in range(1, LAW_CHECK_BOUND + 1):
+        assert verify_laws(ctx(k, mutant)) == ref_verify_laws(ctx(k, mutant)), k
+
+
+def assert_laws_match_under_faults(monkeypatch, faults, k):
+    """Asserts the reports match under each fault; returns the failed ones."""
+    failed = []
+    for cell in faults:
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, k))
+        reports = verify_laws(ctx(k))
+        assert reports == ref_verify_laws(ctx(k)), cell
+        failed += [r for r in reports if not r.holds]
+    return failed
+
+
+def test_laws_match_the_cubic_scans_under_every_k3_fault(monkeypatch):
+    assert_laws_match_under_faults(monkeypatch, cell_corruptions(3), 3)
+
+
+@pytest.mark.slow
+def test_laws_match_the_cubic_scans_under_every_k4_fault(monkeypatch):
+    assert_laws_match_under_faults(monkeypatch, cell_corruptions(4), 4)
+
+
+def test_laws_match_the_cubic_scans_under_sampled_faults_at_the_bound(monkeypatch):
+    # single cells anywhere in the k = 64 tables put first counterexamples deep
+    k = LAW_CHECK_BOUND
+    n = k + 2
+    clean = ctx(k).tables()
+    rng = random.Random(0)
+    faults = []
+    for _ in range(60):
+        which, i, j, wrong = rng.randrange(2), rng.randrange(n), rng.randrange(n), rng.randrange(n - 1)
+        wrong += wrong >= clean[which][i, j]  # any code but the clean one
+        faults.append((("add", "mul")[which], i, j, wrong))
+    failed = assert_laws_match_under_faults(monkeypatch, faults, k)
+    cubic = {r.counterexample for r in failed if len(r.counterexample) == 3}
+    assert max(a.value for a, _, _ in cubic if a.kind == "fin") > k // 2
+
+
+def test_law_scans_peak_memory_at_the_bound():
+    # the narrow tables and the [a, c, b] distributivity scan hold at most
+    # three (n, n, n) byte arrays at once; int32 scans needed about 9 n^3 bytes
+    n = ctx(LAW_CHECK_BOUND).size
+    tracemalloc.start()
+    try:
+        verify_laws(ctx(LAW_CHECK_BOUND))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * n**3
 
 
 def test_mutant_from_environment(monkeypatch):

@@ -92,6 +92,28 @@ def ref_monotonicity(t):
     return None
 
 
+def ref_order(add_t):
+    n = add_t.shape[0]
+    for a in range(n):
+        above = {add_t[a, c] for c in range(n)}
+        for b in range(n):
+            if (b in above) != (a <= b):
+                return (a, b)
+    return None
+
+
+def ref_canonical_map(add_t, mul_t):
+    # naturals over the window [0, 3k], each read through its code
+    k = add_t.shape[0] - 2
+    code = lambda x: min(x, k + 1)
+    for op, table in ((int.__add__, add_t), (int.__mul__, mul_t)):
+        for x in range(3 * k + 1):
+            for y in range(3 * k + 1):
+                if table[code(x), code(y)] != code(op(x, y)):
+                    return (x, y)
+    return None
+
+
 def ref_ideal_masks(add_t, mul_t):
     n = add_t.shape[0]
     add_t, mul_t = add_t.tolist(), mul_t.tolist()  # list lookups keep k = 16 under a second
@@ -150,6 +172,9 @@ def assert_kernels_match(add_t, mul_t):
     assert kernels.first_distributivity_break(add_t, mul_t) == ref_distributivity(add_t, mul_t)
     assert kernels.first_zero_divisor(mul_t) == ref_zero_divisor(mul_t)
     assert kernels.first_zero_sum(add_t) == ref_zero_sum(add_t)
+    assert kernels.first_order_break(add_t) == ref_order(add_t)
+    if add_t.shape[0] >= 3:  # a semiring order k >= 1
+        assert kernels.first_canonical_map_break(add_t, mul_t) == ref_canonical_map(add_t, mul_t)
     assert all_ideal_masks(add_t, mul_t).tolist() == ref_ideal_masks(add_t, mul_t)
 
 
@@ -178,8 +203,10 @@ def test_kernels_match_reference_on_semiring_tables(k, mutant):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("seed", range(6))
 def test_kernels_match_reference_on_seeded_tables(n, seed):
+    # verify_laws passes uint8 tables, and uint16 past k = 254
     for add_t, mul_t in seeded_tables(n, seed):
-        assert_kernels_match(add_t, mul_t)
+        for dtype in (np.int16, np.uint8, np.uint16, np.int32):
+            assert_kernels_match(add_t.astype(dtype), mul_t.astype(dtype))
 
 
 def test_seeded_tables_break_laws_at_varied_positions():
@@ -301,6 +328,8 @@ def test_public_wrappers_on_clean_tables():
     assert kernels.first_zero_divisor(mul_t) is None
     assert kernels.first_zero_sum(add_t) is None
     assert kernels.first_monotonicity_break(add_t) is None
+    assert kernels.first_order_break(add_t) is None
+    assert kernels.first_canonical_map_break(add_t, mul_t) is None
 
 
 def test_public_wrappers_report_breaks():
