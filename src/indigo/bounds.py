@@ -9,7 +9,8 @@ end is a row here; only the sweep runs ``localization``.
 """
 
 LAW_CHECK_BOUND = 64
-# the peeling is O(k) bitset steps, but clique and chromatic queries above it still exit 3
+# the peeling is O(k) bitset steps, so the sweep runs both claims at every k,
+# but clique and chromatic queries above it still exit 3
 EXACT_SEARCH_BOUND = 24
 IDEAL_ENUM_BOUND = 16
 ORACLE_BOUND = 6

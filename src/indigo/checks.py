@@ -17,6 +17,8 @@ The series claims, a prefix search shared by ``poly-idempotents`` and
 ``window-idempotency``, classes of coefficients and a table over
 signatures, rest on the semantics of the batched kernels, so they stay
 exact under any rule and have no bound; the scans are the tests' oracles.
+The four graph claims read one O(k) peeling and have no bound either;
+only the CLI refuses clique and chromatic queries past their rows.
 """
 
 from __future__ import annotations
@@ -162,28 +164,15 @@ def _spectrum(ctx: SemiringCtx) -> Optional[str]:
     return None
 
 
-def _multiplicative_subsets(ctx: SemiringCtx):
-    mul = ctx.tables()[1].tolist()
-    elems = ctx.elements()
-    one = ctx.encode(ctx.one)
-    rest = [ctx.encode(e) for e in ctx.nonzero_elements() if e != ctx.one]
-    for bits in range(1 << len(rest)):
-        codes = [one] + [c for i, c in enumerate(rest) if bits >> i & 1]
-        mask = sum(1 << c for c in codes)
-        if all(mask >> mul[u][v] & 1 for u in codes for v in codes):
-            yield [elems[c] for c in codes]
-
-
 def _localization(ctx: SemiringCtx) -> Optional[str]:
-    subsets = list(_multiplicative_subsets(ctx))
-    for subset, loc in zip(subsets, ideals.localizations(ctx, subsets)):
-        names = "{" + ", ".join(u.render() for u in subset) + "}"
+    for codes, loc in ideals.localizations(ctx):
+        names = "{" + ", ".join(ctx.decode(c).render() for c in codes) + "}"
         if not loc.is_entire() or not loc.is_zerosumfree():
             return f"fractions over {names} are not an information algebra"
-        if any(u.kind == "fin" and u.value > 1 for u in subset):
+        if any(1 < c <= ctx.k for c in codes):
             if loc.class_count != 2 or not loc.is_boolean():
                 return f"fractions over {names} are not Boolean"
-        if len(subset) == 1 and not loc.matches_ambient():
+        if len(codes) == 1 and not loc.matches_ambient():
             return "fractions over {1} do not reproduce the semiring"
     return None
 
@@ -342,8 +331,8 @@ _CHECKS = (
     ("semiring-laws", "core.laws", _laws, "laws"),
     ("graph-diameter", "graphs.diameter", _graph_diameter, None),
     ("graph-girth", "graphs.girth", _graph_girth, None),
-    ("graph-clique", "graphs.clique", _graph_clique, "clique"),
-    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, "chromatic"),
+    ("graph-clique", "graphs.clique", _graph_clique, None),
+    ("graph-chromatic", "graphs.chromatic", _graph_chromatic, None),
     ("ideal-lattice", "ideals.lattice", _ideal_lattice, "ideals"),
     ("ideal-primes", "ideals.primes", _ideal_primes, "ideals"),
     ("ideal-austere", "ideals.subtractive", _ideal_austere, "ideals"),

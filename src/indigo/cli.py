@@ -33,10 +33,6 @@ EXIT_INTERNAL = 4
 TABLE_RENDER_BOUND = 32
 
 
-def _parse_elem(token: str) -> Elem:
-    return Elem.parse(token)
-
-
 def _parse_elem_list(text: str) -> list:
     return [Elem.parse(tok) for tok in text.split(",") if tok.strip()]
 
@@ -100,6 +96,15 @@ def _refuse(search: str, args) -> None:
         raise BoundExceededError(f"{text} bounded at k <= {bound}, got k={args.k}")
 
 
+def _one_op(args, flags: tuple, usage: str) -> str:
+    """The one flag of ``flags`` that ``args`` sets; ``ValueError`` with ``usage``
+    (exit 2) when none is set or several are."""
+    picked = [flag for flag in flags if getattr(args, flag) not in (None, "")]
+    if len(picked) != 1:
+        raise ValueError(usage)
+    return picked[0]
+
+
 def _render_table_text(ctx: SemiringCtx, rows) -> list:
     labels = [e.render() for e in ctx.elements()]
     width = max(len(s) for s in labels)
@@ -113,25 +118,19 @@ def _render_table_text(ctx: SemiringCtx, rows) -> list:
 def _cmd_elem(args) -> int:
     ctx = SemiringCtx(args.k)
     payload: dict = {"k": args.k}
-    if args.add:
-        a, b = (_parse_elem(t) for t in args.add)
-        payload.update(op="add", a=a.render(), b=b.render(), result=ctx.add(a, b).render())
-    elif args.mul:
-        a, b = (_parse_elem(t) for t in args.mul)
-        payload.update(op="mul", a=a.render(), b=b.render(), result=ctx.mul(a, b).render())
-    elif args.leq:
-        a, b = (_parse_elem(t) for t in args.leq)
-        payload.update(op="leq", a=a.render(), b=b.render(), result=ctx.leq(a, b))
-    elif args.canon is not None:
+    flags = ("add", "mul", "leq", "canon", "unit", "idempotent")
+    op = _one_op(args, flags, "pick one of --add, --mul, --leq, --canon, --unit, --idempotent")
+    if op in ("add", "mul", "leq"):
+        a, b = (Elem.parse(t) for t in getattr(args, op))
+        result = getattr(ctx, op)(a, b)
+        result = result if op == "leq" else result.render()
+        payload.update(op=op, a=a.render(), b=b.render(), result=result)
+    elif op == "canon":
         payload.update(op="canonical-map", n=args.canon, result=ctx.canonical_map(args.canon).render())
-    elif args.unit:
-        a = _parse_elem(args.unit)
-        payload.update(op="is-unit", a=a.render(), result=ctx.is_unit(a))
-    elif args.idempotent:
-        a = _parse_elem(args.idempotent)
-        payload.update(op="is-idempotent", a=a.render(), result=ctx.is_idempotent(a))
     else:
-        raise ValueError("pick one of --add, --mul, --leq, --canon, --unit, --idempotent")
+        a = Elem.parse(getattr(args, op))
+        result = ctx.is_unit(a) if op == "unit" else ctx.is_idempotent(a)
+        payload.update(op=f"is-{op}", a=a.render(), result=result)
     return _emit(payload, [], args.json)
 
 
@@ -276,31 +275,27 @@ def _cmd_poly(args) -> int:
     def dump(f: series.Poly):
         return f.to_json() if args.json else f.render()
 
-    if args.add:
-        f, g = (load(t) for t in args.add)
-        payload.update(op="add", f=dump(f), g=dump(g), result=dump(f + g))
-    elif args.mul:
-        f, g = (load(t) for t in args.mul)
-        payload.update(op="mul", f=dump(f), g=dump(g), result=dump(f * g))
-    elif args.degree:
+    flags = ("add", "mul", "degree", "unit", "idempotent")
+    op = _one_op(args, flags, "pick one of --add, --mul, --degree, --unit, --idempotent")
+    if op in ("add", "mul"):
+        f, g = (load(t) for t in getattr(args, op))
+        payload.update(op=op, f=dump(f), g=dump(g), result=dump(f + g if op == "add" else f * g))
+    elif op == "degree":
         f = load(args.degree)
         d = f.degree()
         payload.update(op="degree", f=dump(f), result="-infinity" if d == series.NEG_INFINITY else d)
-    elif args.unit:
-        f = load(args.unit)
-        payload.update(op="is-unit", f=dump(f), result=f.is_unit())
-    elif args.idempotent:
-        f = load(args.idempotent)
-        payload.update(op="is-idempotent", f=dump(f), result=f.is_idempotent())
     else:
-        raise ValueError("pick one of --add, --mul, --degree, --unit, --idempotent")
+        f = load(getattr(args, op))
+        result = f.is_unit() if op == "unit" else f.is_idempotent()
+        payload.update(op=f"is-{op}", f=dump(f), result=result)
     return _emit(payload, [], args.json)
 
 
 def _cmd_series(args) -> int:
     ctx = SemiringCtx(args.k)
     payload: dict = {"k": args.k, "depth": args.depth}
-    if args.gens:
+    usage = "pick --gens (build an idempotent window) or --check (test one)"
+    if _one_op(args, ("gens", "check"), usage) == "gens":
         constant = Elem.parse(args.constant)
         gens = _parse_int_list(args.gens)
         f = series.idempotent_series_from_generators(ctx, constant, gens, args.depth)
@@ -310,7 +305,7 @@ def _cmd_series(args) -> int:
             support=list(f.support()),
             idempotent=series.ts_is_idempotent_window(f),
         )
-    elif args.check:
+    else:
         poly_part = series.parse_poly(ctx, args.check)
         f = series.make_series(ctx, args.depth, poly_part.coeffs)
         payload.update(
@@ -319,8 +314,6 @@ def _cmd_series(args) -> int:
             idempotent=series.ts_is_idempotent_window(f),
             unit=f.is_unit(),
         )
-    else:
-        raise ValueError("pick --gens (build an idempotent window) or --check (test one)")
     return _emit(payload, [], args.json)
 
 
@@ -412,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ideals", help="ideal lattice queries")
     p.add_argument("k", type=int)
-    p.add_argument("--count", action="store_true", help="number of ideals (default)")
     p.add_argument("--list", action="store_true")
     p.add_argument("--primes", action="store_true")
     p.add_argument("--radical", metavar="GENS", help="radical of the ideal generated by GENS")

@@ -48,6 +48,11 @@ class ContextMismatchError(ValueError):
     """An element does not live in the semiring it was used with."""
 
 
+def _is_count(n, least: int) -> bool:
+    """n is an int of at least ``least``, and not a bool."""
+    return isinstance(n, int) and not isinstance(n, bool) and n >= least
+
+
 @dataclass(frozen=True)
 class Elem:
     """One element: zero, a finite count 1..k, or the saturation symbol m."""
@@ -59,7 +64,7 @@ class Elem:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown element kind {self.kind!r}")
         if self.kind == "fin":
-            if not isinstance(self.value, int) or isinstance(self.value, bool) or self.value < 1:
+            if not _is_count(self.value, 1):
                 raise ValueError(f"finite element needs an integer value >= 1, got {self.value!r}")
         elif self.value is not None:
             raise ValueError(f"element kind {self.kind!r} carries no value")
@@ -168,7 +173,7 @@ class SemiringCtx:
     """
 
     def __init__(self, k: int, mutant: Optional[str] = None):
-        if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        if not _is_count(k, 1):
             raise ValueError(f"order k must be an integer >= 1, got {k!r}")
         if mutant is None:
             mutant = os.environ.get(MUTANT_ENV) or None
@@ -240,7 +245,7 @@ class SemiringCtx:
 
     def canonical_map(self, n: int) -> Elem:
         """Image of the natural number n under the quotient map onto the semiring."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+        if not _is_count(n, 0):
             raise ValueError(f"expected a natural number, got {n!r}")
         if n == 0:
             return ZERO
@@ -259,7 +264,7 @@ class SemiringCtx:
 
     def power(self, a: Elem, n: int) -> Elem:
         """n-fold product of a with itself, n >= 1."""
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        if not _is_count(n, 1):
             raise ValueError(f"exponent must be an integer >= 1, got {n!r}")
         out = self.check(a)
         for _ in range(n - 1):
@@ -315,6 +320,11 @@ class SemiringCtx:
         return self._tables
 
 
+def code_dtype(ctx: SemiringCtx) -> np.dtype:
+    """The narrowest unsigned integer type holding every code of ctx."""
+    return np.min_scalar_type(ctx.size - 1)
+
+
 LAW_NAMES = (
     "add-commutative",
     "add-associative",
@@ -340,8 +350,7 @@ def verify_laws(ctx: SemiringCtx) -> list:
     at most cubic in k; they read the tables cast once to the narrowest
     dtype that holds the codes.
     """
-    dtype = np.min_scalar_type(ctx.size - 1)
-    add_t, mul_t = (t.astype(dtype) for t in ctx.tables())
+    add_t, mul_t = (t.astype(code_dtype(ctx)) for t in ctx.tables())
 
     def elems(codes):
         if codes is None:

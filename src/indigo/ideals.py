@@ -11,9 +11,10 @@ An ideal is a bitmask over element codes: bit c is set when the element
 with code c (``SemiringCtx.encode``) belongs to it.  Every ideal
 predicate tests bits of the mask against the code lists ``add`` and
 ``mul`` of the context's one ``_Closure``, read once from the dense
-``ctx.tables()``; besides the closure, only the unit-set check and
-localization read those tables.  Elements appear only at the boundary,
-in arguments and in views such as ``Ideal.members``.
+``ctx.tables()``, and refuses an ideal of another context; besides the
+closure, only the unit sets and localization read those tables.
+Elements appear only at the boundary, in arguments and in views such
+as ``Ideal.members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
@@ -23,14 +24,19 @@ its lattice, so a context enumerates its ideals at most once.
 
 ``LocalizedSemiring`` implements fractions over a multiplicatively
 closed set U through the relation a/u = b/v iff t*a*v = t*b*u for some
-t in U.  ``localizations`` builds them for many sets at once, in
-batches of one size and at most 2^14 (set, pair, pair) cells, by flat
-``take`` gathers; ``localize`` is the same build for one set.
+t in U.  ``localizations`` enumerates every unit set of a context and
+builds their fractions together, in batches of one size and at most
+2^14 (set, pair, pair) cells, by flat ``take`` gathers; ``localize``
+checks one set given as elements and builds it alone.
 ``IdealSemiring`` makes the set of ideals itself a semiring under ideal
 sum and ideal product, in whole-array passes over the masks as ``uint64``
 (size <= 64).  The sum closes each distinct union of two masks once; a
 product I * J is the join, over the codes x of I, of the principal
 products x * J, closed once per distinct seed, then sum-table lookups.
+
+Both derived semirings keep their tables as read-only int arrays with
+zero at position 0, so their ``is_entire`` and ``is_zerosumfree`` are
+the law scans of ``kernels``.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
+from . import kernels
 from .core import ZERO, ContextMismatchError, Elem, SemiringCtx
 
 
@@ -292,8 +299,14 @@ def ideal_product(a: Ideal, b: Ideal) -> Ideal:
     return Ideal._closed(a.ctx, _closure(a.ctx).product(a.mask, b.mask))
 
 
+def _own(ctx: SemiringCtx, ideal: Ideal) -> None:
+    if ideal.ctx != ctx:
+        raise ContextMismatchError(f"{ideal!r} is not an ideal of {ctx!r}")
+
+
 def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Proper, and a product lands inside only if a factor does."""
+    _own(ctx, ideal)
     if not ideal.is_proper:
         return False
     outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
@@ -302,6 +315,7 @@ def is_prime(ctx: SemiringCtx, ideal: Ideal) -> bool:
 
 def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Proper, and adding any element outside it generates the whole semiring."""
+    _own(ctx, ideal)
     if not ideal.is_proper:
         return False
     close = _closure(ctx)
@@ -311,6 +325,7 @@ def is_maximal(ctx: SemiringCtx, ideal: Ideal) -> bool:
 
 def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
     """Whether a in I and a + b in I force b in I."""
+    _own(ctx, ideal)
     inside = _codes(ideal.mask)
     outside = list(_codes((1 << ctx.size) - 1 & ~ideal.mask))
     return _escape(_closure(ctx).add, inside, outside, ~ideal.mask) is None
@@ -318,6 +333,7 @@ def is_subtractive(ctx: SemiringCtx, ideal: Ideal) -> bool:
 
 def radical(ctx: SemiringCtx, ideal: Ideal) -> Ideal:
     """Elements some power of which lands in the ideal."""
+    _own(ctx, ideal)
     mul = _closure(ctx).mul
     mask = 0
     for a in range(ctx.size):
@@ -369,26 +385,11 @@ def spectrum(ctx: SemiringCtx) -> SpectrumView:
 _BOOLEAN_ADD = ((0, 1), (1, 1))
 _BOOLEAN_MUL = ((0, 0), (0, 1))
 
-
-def _is_entire(mul_table, zero: int) -> bool:
-    """No product of two nonzero cells of ``mul_table`` (any 2-d array-like) is ``zero``."""
-    zeros = np.asarray(mul_table) == zero
-    zeros[zero, :] = zeros[:, zero] = False
-    return not zeros.any()
-
-
-def _is_zerosumfree(add_table, zero: int) -> bool:
-    """Only zero + zero is ``zero`` in ``add_table`` (any 2-d array-like)."""
-    zeros = np.asarray(add_table) == zero
-    zeros[zero, zero] = False
-    return not zeros.any()
-
-
 _BATCH_CELLS = 1 << 14  # (set, pair, pair) cells in one grouped build
 
 
-def _unit_codes(ctx: SemiringCtx, units: Iterable[Elem]) -> tuple:
-    """U and its sorted codes; ``ValueError`` unless U is a valid unit set."""
+def _unit_codes(ctx: SemiringCtx, units: Iterable[Elem]) -> list:
+    """The sorted codes of U; ``ValueError`` unless U is a valid unit set."""
     unit_set = frozenset(ctx.check(u) for u in units)
     if not unit_set:
         raise ValueError("U must be nonempty")
@@ -396,14 +397,22 @@ def _unit_codes(ctx: SemiringCtx, units: Iterable[Elem]) -> tuple:
         raise ValueError("U must not contain zero")
     if ctx.one not in unit_set:
         raise ValueError("U must contain 1")
-    mul = ctx.tables()[1].tolist()
     us = sorted(ctx.encode(u) for u in unit_set)
-    for u in us:
-        for v in us:
-            if mul[u][v] not in us:
-                escape = f"{_name(ctx, u)} * {_name(ctx, v)} escapes"
-                raise ValueError(f"U is not multiplicatively closed: {escape}")
-    return unit_set, us
+    escape = _escape(ctx.tables()[1].tolist(), us, us, sum(1 << c for c in us))
+    if escape:
+        u, v = (_name(ctx, c) for c in escape)
+        raise ValueError(f"U is not multiplicatively closed: {u} * {v} escapes")
+    return us
+
+
+def _unit_sets(ctx: SemiringCtx) -> Iterator[list]:
+    """The sorted codes of every unit set closed under ``ctx.tables()[1]``: code 1
+    and the codes that each bitmask over 2..k + 1 picks, in bitmask order."""
+    mul = ctx.tables()[1].tolist()
+    for bits in range(1 << ctx.k):
+        codes = [1] + [c for c in range(2, ctx.size) if bits >> (c - 2) & 1]
+        if _escape(mul, codes, codes, sum(1 << c for c in codes)) is None:
+            yield codes
 
 
 def _fractions(ctx: SemiringCtx, units: np.ndarray) -> Iterator[tuple]:
@@ -440,8 +449,9 @@ def _fractions(ctx: SemiringCtx, units: np.ndarray) -> Iterator[tuple]:
     independent = np.logical_and(*((r == r.ravel().take(rep)).all(axis=(1, 2)) for r in results))
     for i, firsts in enumerate(map(np.flatnonzero, first)):
         grid = (i * pairs + firsts[:, None]) * pairs + firsts
-        tables = tuple(tuple(map(tuple, r.ravel().take(grid).tolist())) for r in results)
-        yield class_at[i], tables if independent[i] else None
+        tables = np.stack([r.ravel().take(grid) for r in results])  # add, then mul
+        tables.flags.writeable = False
+        yield class_at[i], tuple(tables) if independent[i] else None
 
 
 class LocalizedSemiring:
@@ -451,14 +461,17 @@ class LocalizedSemiring:
     are computed eagerly, the pairs of a class on request; representative
     independence of the tables is verified over every representative
     pair, so a successfully constructed instance is a genuine semiring.
+    Both tables are read-only int arrays over the classes, numbered in
+    the order of their least pair; pair 0 is 0/1, so zero is class 0.
     ``localize`` and ``localizations`` build the parts it takes.
     """
 
-    def __init__(self, ctx: SemiringCtx, unit_set: frozenset, class_at, tables):
+    def __init__(self, ctx: SemiringCtx, codes: list, class_at, tables):
         if tables is None:
             why = "the unit set does not yield a semiring"
             raise RuntimeError(f"fraction operation is not representative-independent; {why}")
-        self.ctx, self.unit_set, self._class_at = ctx, unit_set, class_at  # [a, u]: class of a/u
+        self.ctx, self._class_at = ctx, class_at  # [a, u]: class of a/u
+        self.unit_set = frozenset(map(ctx.decode, codes))
         self.add_table, self.mul_table = tables
         one = ctx.encode(ctx.one)
         self.zero_index, self.one_index = int(class_at[0, one]), int(class_at[one, one])
@@ -484,16 +497,16 @@ class LocalizedSemiring:
         return tuple((decode(a), decode(u)) for a, u in self._classes[index])
 
     def add_class(self, i: int, j: int) -> int:
-        return self.add_table[i][j]
+        return int(self.add_table[i, j])
 
     def mul_class(self, i: int, j: int) -> int:
-        return self.mul_table[i][j]
+        return int(self.mul_table[i, j])
 
     def is_entire(self) -> bool:
-        return _is_entire(self.mul_table, self.zero_index)
+        return kernels.first_zero_divisor(self.mul_table) is None
 
     def is_zerosumfree(self) -> bool:
-        return _is_zerosumfree(self.add_table, self.zero_index)
+        return kernels.first_zero_sum(self.add_table) is None
 
     def is_boolean(self) -> bool:
         """Isomorphic to the two-element Boolean semiring (1 + 1 = 1).  With
@@ -503,7 +516,7 @@ class LocalizedSemiring:
             return False
         image = (self.zero_index, self.one_index)  # the class of 0, and of 1
         return all(
-            table[image[a]][image[b]] == image[want[a][b]]
+            table[image[a], image[b]] == image[want[a][b]]
             for table, want in ((self.add_table, _BOOLEAN_ADD), (self.mul_table, _BOOLEAN_MUL))
             for a in range(2)
             for b in range(2)
@@ -516,36 +529,30 @@ class LocalizedSemiring:
             return False
         grid = np.ix_(image, image)
         return all(
-            np.array_equal(np.array(classes)[grid], image[table])
+            np.array_equal(classes[grid], image[table])
             for classes, table in zip((self.add_table, self.mul_table), self.ctx.tables())
         )
 
 
 def localize(ctx: SemiringCtx, units: Iterable[Elem]) -> LocalizedSemiring:
     """The semiring of fractions of ctx over the multiplicatively closed set U."""
-    return next(localizations(ctx, [units]))
+    codes = _unit_codes(ctx, units)
+    return LocalizedSemiring(ctx, codes, *next(_fractions(ctx, np.array([codes]))))
 
 
-def localizations(ctx: SemiringCtx, unit_sets: Iterable) -> Iterator[LocalizedSemiring]:
-    """The semiring of fractions over each U of ``unit_sets``, in order, built
-    in batches of one size and at most ``_BATCH_CELLS`` cells.  A set that is
-    not a unit set, or does not yield a semiring, raises its error in its turn."""
-    checked, error = [], None
-    try:
-        for units in unit_sets:
-            checked.append(_unit_codes(ctx, units))
-    except (TypeError, ValueError) as exc:  # raised after the sets before it
-        error = exc
+def localizations(ctx: SemiringCtx) -> Iterator[tuple]:
+    """``(codes, fractions)`` over every unit set of ``_unit_sets``, in its order,
+    built in batches of one size and at most ``_BATCH_CELLS`` cells.  A set whose
+    operations depend on the representatives raises its ``RuntimeError`` in its turn."""
+    sets = list(_unit_sets(ctx))
     built = {}
-    for size in {len(us) for _, us in checked}:
-        group = [i for i, (_, us) in enumerate(checked) if len(us) == size]
+    for size in {len(codes) for codes in sets}:
+        group = [i for i, codes in enumerate(sets) if len(codes) == size]
         step = max(1, _BATCH_CELLS // (ctx.size * size) ** 2)
         for batch in (group[i : i + step] for i in range(0, len(group), step)):
-            built.update(zip(batch, _fractions(ctx, np.array([checked[i][1] for i in batch]))))
-    for i, (unit_set, _) in enumerate(checked):
-        yield LocalizedSemiring(ctx, unit_set, *built.pop(i))
-    if error is not None:
-        raise error
+            built.update(zip(batch, _fractions(ctx, np.array([sets[i] for i in batch]))))
+    for i, codes in enumerate(sets):
+        yield codes, LocalizedSemiring(ctx, codes, *built.pop(i))
 
 
 class IdealSemiring:
@@ -556,7 +563,8 @@ class IdealSemiring:
     entire, and the least nonzero ideal absorbs products of nonzero
     ideals.  A rule under which {0} or {0, m} is not an ideal is an
     arithmetic fault: the constructor raises ``RuntimeError``.  Both
-    tables are read-only int arrays.
+    tables are read-only int arrays over ``ideals``, in canonical order;
+    {0} is the only ideal of one code, so zero is position 0.
     """
 
     def __init__(self, ctx: SemiringCtx):
@@ -580,10 +588,10 @@ class IdealSemiring:
         return np.array_equal(np.diagonal(self.add_table), np.arange(self.size))
 
     def is_zerosumfree(self) -> bool:
-        return _is_zerosumfree(self.add_table, self.zero_index)
+        return kernels.first_zero_sum(self.add_table) is None
 
     def is_entire(self) -> bool:
-        return _is_entire(self.mul_table, self.zero_index)
+        return kernels.first_zero_divisor(self.mul_table) is None
 
     def least_nonzero_absorbs(self) -> bool:
         """{0, m} times any nonzero ideal is {0, m} again."""

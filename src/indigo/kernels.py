@@ -5,10 +5,12 @@ Tables are (n, n) integer arrays indexed by element codes (0 = zero,
 order.  Each scan checks one semiring law over every index at once:
 it builds the boolean array of violations and returns its
 lexicographically first index as a tuple of codes, or ``None`` when the
-law holds.  ``core.verify_laws`` is their only caller.
+law holds.  ``core.verify_laws`` runs every scan on the semiring's
+tables; the ideal semiring and the semiring of fractions, whose zero is
+at position 0 too, run ``first_zero_divisor`` and ``first_zero_sum``.
 
 The scans accept any integer dtype that holds the codes.
-``verify_laws`` hands them the narrowest, ``np.min_scalar_type(n - 1)``:
+``verify_laws`` hands them the narrowest, ``core.code_dtype``:
 ``uint8`` up to k = 254 and ``uint16`` above.  The cubic scans cost
 their (n, n, n) temporaries, one byte a cell at ``uint8`` against four
 at ``int32``.

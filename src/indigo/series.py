@@ -40,16 +40,11 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, fin
+from .core import MANY, ZERO, ContextMismatchError, Elem, SemiringCtx, _is_count, code_dtype, fin
 
 NEG_INFINITY = float("-inf")
 
 Degree = Union[int, float]
-
-
-def _is_count(n, least: int) -> bool:
-    """n is an int of at least ``least``, and not a bool."""
-    return isinstance(n, int) and not isinstance(n, bool) and n >= least
 
 
 def _check_codes(ctx: SemiringCtx, codes: tuple) -> None:
@@ -69,11 +64,6 @@ def _convolve(ctx: SemiringCtx, f: Sequence[int], g: Sequence[int], n: int) -> l
                 if b:
                     out[j] = rule("add", out[j], rule("mul", a, b))
     return out
-
-
-def code_dtype(ctx: SemiringCtx) -> np.dtype:
-    """The narrowest unsigned integer type holding every code of ctx."""
-    return np.min_scalar_type(ctx.size - 1)
 
 
 def term_tables(ctx: SemiringCtx) -> tuple:

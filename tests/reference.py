@@ -32,7 +32,8 @@ one pair of ideals at a time, over the context's ideal closure, for the
 library's array build to be checked against cell by cell.
 
 ``multiplicative_subsets`` lists the unit sets closed under ``ref_mul``,
-for the sweep's own enumeration and the localization tests.
+or under the context's scalar rule, as the oracle of the library's
+enumeration of unit sets and for the localization tests.
 
 ``ref_verify_laws`` is ``verify_laws`` as its scans stood before they
 were narrowed: every scan on ``int32`` tables, distributivity on two
@@ -89,13 +90,14 @@ def ref_mul(ctx, a, b):
     return MANY
 
 
-def multiplicative_subsets(ctx):
-    """Every set of 1 and nonzero elements closed under ``ref_mul``, in the
+def multiplicative_subsets(ctx, mul=ref_mul):
+    """Every set of 1 and nonzero elements closed under ``mul`` (``ref_mul``,
+    or ``SemiringCtx.mul`` to follow a rule installed on the context), in the
     order of the bitmask over the elements 2, ..., k, m that picks it."""
     pool = [e for e in ctx.nonzero_elements() if e != ctx.one]
     for bits in range(1 << len(pool)):
         subset = [ctx.one] + [pool[i] for i in range(len(pool)) if bits >> i & 1]
-        if all(ref_mul(ctx, u, v) in subset for u in subset for v in subset):
+        if all(mul(ctx, u, v) in subset for u in subset for v in subset):
             yield subset
 
 

@@ -16,6 +16,7 @@ import pytest
 from reference import (
     cell_corruptions,
     cell_fault,
+    multiplicative_subsets,
     ref_degree_morphism,
     ref_poly_idempotents,
     ref_poly_units,
@@ -228,9 +229,10 @@ def test_law_fault_matrix_counts(monkeypatch):
 
 
 def localization_one_set_at_a_time(ctx):
-    """The localization claim as a loop of single ``localize`` calls: the
-    oracle for the sweep's grouped build, same predicates, same texts."""
-    for subset in checks._multiplicative_subsets(ctx):
+    """The localization claim as a loop of single ``localize`` calls over the
+    unit sets closed under the context's scalar rule: the oracle for the
+    sweep's enumeration and grouped build, same predicates, same texts."""
+    for subset in multiplicative_subsets(ctx, SemiringCtx.mul):
         loc = localize(ctx, subset)
         names = "{" + ", ".join(u.render() for u in subset) + "}"
         if not loc.is_entire() or not loc.is_zerosumfree():

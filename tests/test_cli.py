@@ -77,6 +77,12 @@ def test_elem_requires_an_operation(capsys):
     assert err.startswith("error:")
 
 
+def test_elem_refuses_two_operations(capsys):
+    code, out, err = run_cli(capsys, "elem", "3", "--add", "1", "1", "--mul", "2", "2")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: pick one of --add, --mul, --leq, --canon, --unit, --idempotent\n"
+
+
 def test_elem_rejects_bad_tokens(capsys):
     code, _, err = run_cli(capsys, "elem", "4", "--add", "2", "q")
     assert code == EXIT_USAGE
@@ -312,6 +318,12 @@ def test_poly_requires_an_operation(capsys):
     assert code == EXIT_USAGE
 
 
+def test_poly_refuses_two_operations(capsys):
+    code, out, err = run_cli(capsys, "poly", "3", "--degree", "1 + X", "--unit", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: pick one of --add, --mul, --degree, --unit, --idempotent\n"
+
+
 def test_poly_parse_error(capsys):
     code, _, err = run_cli(capsys, "poly", "3", "--degree", "2Y")
     assert code == EXIT_USAGE
@@ -363,6 +375,12 @@ def test_series_check_window(capsys):
 def test_series_requires_gens_or_check(capsys):
     code, _, err = run_cli(capsys, "series", "2", "--depth", "3")
     assert code == EXIT_USAGE
+
+
+def test_series_refuses_both_gens_and_check(capsys):
+    code, out, err = run_cli(capsys, "series", "3", "--depth", "4", "--gens", "2", "--check", "1")
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "error: pick --gens (build an idempotent window) or --check (test one)\n"
 
 
 def test_series_negative_depth_is_a_usage_error(capsys):

@@ -2,7 +2,6 @@ import ast
 import functools
 import inspect
 import itertools
-import random
 
 import numpy as np
 import pytest
@@ -22,7 +21,7 @@ from reference import (
 )
 
 from indigo import IDEAL_ENUM_BOUND, checks, ideals
-from indigo.core import MANY, ZERO, SemiringCtx, fin
+from indigo.core import MANY, ZERO, ContextMismatchError, SemiringCtx, fin
 from indigo.ideals import (
     Ideal,
     LocalizedSemiring,
@@ -229,9 +228,10 @@ def test_ideal_predicates_match_the_dense_table_reference(monkeypatch):
 def test_mask_predicates_read_the_closure_code_lists():
     """The dense tables are read only by the closure, which keeps their
     cells as code lists for every mask predicate, by the unit-set check
-    and by localization (``LocalizedSemiring`` and its grouped builder
-    ``_fractions``); the mask predicates build no arrays, and nilpotency
-    reads the ideal semiring's product table, not the closure."""
+    and enumeration, and by localization (``LocalizedSemiring`` and its
+    grouped builder ``_fractions``); the mask predicates build no arrays,
+    and nilpotency reads the ideal semiring's product table, not the
+    closure."""
     tree = ast.parse(inspect.getsource(ideals))
     dense_readers = set()
     for top in tree.body:
@@ -239,7 +239,9 @@ def test_mask_predicates_read_the_closure_code_lists():
             if isinstance(node, ast.Attribute) and node.attr == "tables":
                 dense_readers.add(top.name)
             assert getattr(node, "id", getattr(node, "name", None)) != "_member"
-    assert dense_readers == {"_Closure", "_unit_codes", "LocalizedSemiring", "_fractions"}
+    assert dense_readers == {
+        "_Closure", "_unit_codes", "_unit_sets", "LocalizedSemiring", "_fractions"
+    }
     defs = {top.name: top for top in tree.body if hasattr(top, "name")}
     for name in ("Ideal", "is_prime", "is_subtractive", "radical"):
         names = {n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
@@ -352,6 +354,16 @@ def test_radicals():
             assert ideal.issubset(rad)
 
 
+@pytest.mark.parametrize("predicate", [is_prime, is_maximal, is_subtractive, radical])
+def test_ideal_predicates_refuse_an_ideal_of_another_context(predicate):
+    # a smaller order, a larger one, and the same order under another rule
+    for home, other in ((5, ctx(3)), (3, ctx(5)), (3, SemiringCtx(3, mutant="add-cap"))):
+        ideal = Ideal(ctx(home), mask(ctx(home), 0, "m"))
+        with pytest.raises(ContextMismatchError) as exc:
+            predicate(other, ideal)
+        assert str(exc.value) == f"{ideal!r} is not an ideal of {other!r}"
+
+
 def test_spectrum_is_sierpinski():
     for k in range(1, 13):
         view = spectrum(ctx(k))
@@ -382,28 +394,34 @@ def test_enumeration_bound():
 # --- localization -----------------------------------------------------------
 
 
+def unit_codes(c, subset):
+    return [c.encode(u) for u in subset]
+
+
 @pytest.mark.parametrize("mutant", CONTEXTS)
 def test_sweep_unit_sets_match_scalar_reference(mutant):
     counts = []
     for k in range(1, 9):
         c = SemiringCtx(k, mutant=mutant)
-        subsets = list(checks._multiplicative_subsets(c))
-        assert subsets == list(multiplicative_subsets(c)), k
-        counts.append(len(subsets))
+        sets = list(ideals._unit_sets(c))
+        assert sets == [unit_codes(c, subset) for subset in multiplicative_subsets(c)], k
+        counts.append(len(sets))
     if mutant is None:
         assert counts == [2, 3, 5, 7, 13, 23, 45, 77]
 
 
 def test_localize_validates_unit_set():
     c = ctx(3)
-    with pytest.raises(ValueError):
-        localize(c, [])
-    with pytest.raises(ValueError):
-        localize(c, [fin(2), MANY])  # missing 1
-    with pytest.raises(ValueError):
-        localize(c, [fin(1), ZERO])
-    with pytest.raises(ValueError):
-        localize(c, [fin(1), fin(2)])  # 2 * 2 = m escapes
+    for units, wants in (
+        ([], "U must be nonempty"),
+        ([fin(2), MANY], "U must contain 1"),
+        ([fin(1), ZERO], "U must not contain zero"),
+        ([fin(1), fin(2)], "U is not multiplicatively closed: 2 * 2 escapes"),
+        ([fin(9)], "element 9 exceeds order k=3"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            localize(c, units)
+        assert str(exc.value) == wants
 
 
 def test_localization_with_saturating_denominator_is_boolean():
@@ -514,44 +532,51 @@ def test_ideal_sum_and_product_basics():
 
 
 def with_cell(table, i, j, value):
-    """A copy of ``table`` with ``value`` in cell (i, j), in the same form:
-    a numpy array, or a tuple of tuples."""
+    """A copy of the array ``table`` with ``value`` in cell (i, j)."""
     cells = np.array(table)
     cells[i, j] = value
-    return cells if isinstance(table, np.ndarray) else tuple(map(tuple, cells.tolist()))
+    return cells
 
 
-TABLE_FORMS = (lambda t: tuple(map(tuple, np.asarray(t).tolist())), np.array)  # tuples, array
+def zero_positions(c):
+    """``zero_index`` of the ideal semiring and of the fractions over every unit
+    set of c, of each that builds; every table is a read-only int array."""
+    builds = [functools.partial(ideal_semiring, c)] + [
+        functools.partial(localize, c, map(c.decode, codes)) for codes in ideals._unit_sets(c)
+    ]
+    zeros = []
+    for build in builds:
+        try:
+            s = build()
+        except RuntimeError:  # a rule that yields no semiring
+            continue
+        for table in (s.add_table, s.mul_table):
+            assert table.dtype.kind == "i" and not table.flags.writeable, c
+        zeros.append(s.zero_index)
+    return zeros
 
 
-def test_entire_and_zerosumfree_find_a_single_witness():
-    # both structures share the two checks; in a tuple or an array table
-    # one planted zero must flip each, except in the cells they ignore: a
-    # product with the zero (its row and column) for entire, zero + zero
-    # for zerosumfree
-    for as_form, s in itertools.product(
-        TABLE_FORMS, (ideal_semiring(ctx(3)), localize(ctx(3), [fin(1)]))
-    ):
-        z = s.zero_index
-        clean = s.add_table, s.mul_table = tuple(map(as_form, (s.add_table, s.mul_table)))
+def test_entire_and_zerosumfree_find_a_single_witness(monkeypatch):
+    # both structures share the kernels' two law scans, which read zero at
+    # position 0: one planted zero must flip each, except in the cells they
+    # ignore, a product with zero (its row and column) for entire and
+    # zero + zero for zerosumfree
+    for s in (ideal_semiring(ctx(3)), localize(ctx(3), [fin(1)])):
+        clean = s.add_table, s.mul_table
         assert s.is_entire() and s.is_zerosumfree()
-        for a, b in np.ndindex(len(clean[0]), len(clean[0])):
-            s.mul_table = with_cell(clean[1], a, b, z)
-            assert s.is_entire() == (z in (a, b)) and s.is_zerosumfree(), (a, b)
+        for a, b in np.ndindex(clean[0].shape):
+            s.mul_table = with_cell(clean[1], a, b, 0)
+            assert s.is_entire() == (0 in (a, b)) and s.is_zerosumfree(), (a, b)
             s.mul_table = clean[1]
-            s.add_table = with_cell(clean[0], a, b, z)
-            assert s.is_entire() and s.is_zerosumfree() == (a == b == z), (a, b)
+            s.add_table = with_cell(clean[0], a, b, 0)
+            assert s.is_entire() and s.is_zerosumfree() == (a == b == 0), (a, b)
             s.add_table = clean[0]
-    # a zero away from position 0, in a table with no other zero cell
-    for as_form, z in itertools.product(TABLE_FORMS, range(3)):
-        blank = as_form(np.full((3, 3), 3))
-        for a, b in np.ndindex(3, 3):
-            planted = with_cell(blank, a, b, z)
-            assert ideals._is_entire(planted, z) == (z in (a, b)), (z, a, b)
-            assert ideals._is_zerosumfree(planted, z) == (a == b == z), (z, a, b)
-    for as_form, cell in itertools.product(TABLE_FORMS, (0, 1)):
-        one = as_form([[cell]])  # its one cell is zero * zero and zero + zero
-        assert ideals._is_entire(one, 0) and ideals._is_zerosumfree(one, 0)
+    ruled = [z for m in CONTEXTS for k in range(1, 9) for z in zero_positions(SemiringCtx(k, m))]
+    faulted = []
+    for cell in cell_corruptions(3):
+        monkeypatch.setattr(SemiringCtx, "_cayley", cell_fault(*cell, 3))
+        faulted += zero_positions(SemiringCtx(3))
+    assert set(ruled + faulted) == {0} and (len(ruled), len(faulted)) == (481, 907)
 
 
 def test_ideal_semiring_properties():
@@ -968,29 +993,23 @@ def ref_fractions(c, units):
     return set(classes), tables
 
 
-def localized_in_turn(c, subsets):
-    """(subset, fractions or the error) for each subset, from ``localizations``
-    restarted after each set it rejects."""
-    rest = list(subsets)
-    while rest:
-        built = localizations(c, rest)
-        for done, subset in enumerate(rest, 1):
-            try:
-                yield subset, next(built)
-            except RuntimeError as exc:
-                yield subset, exc
-                break
-        rest = rest[done:]
-
-
 def same_fractions(x, y):
     return (
         x.unit_set == y.unit_set
-        and (x.add_table, x.mul_table) == (y.add_table, y.mul_table)
+        and np.array_equal(x.add_table, y.add_table)
+        and np.array_equal(x.mul_table, y.mul_table)
         and (x.zero_index, x.one_index) == (y.zero_index, y.one_index)
         and np.array_equal(x._class_at, y._class_at)
         and all(x.class_members(i) == y.class_members(i) for i in range(x.class_count))
     )
+
+
+def class_sets(c, class_at):
+    """The classes of a ``_fractions`` class map, as sets of (a, u) elements."""
+    classes = {}
+    for a, u in np.argwhere(class_at >= 0).tolist():
+        classes.setdefault(class_at[a, u], set()).add((c.decode(a), c.decode(u)))
+    return {frozenset(members) for members in classes.values()}
 
 
 def assert_matches_oracle(c, subset, loc, classes, tables):
@@ -1008,31 +1027,42 @@ def assert_matches_oracle(c, subset, loc, classes, tables):
 @pytest.mark.parametrize("mutant", CONTEXTS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
 def test_localization_matches_scalar_oracle(k, mutant):
-    """Both build paths against the scalar oracle: ``localize`` one set at a
-    time, and ``localizations`` over every set at once in a shuffled order
-    that mixes the sizes of U."""
+    """Every ``_fractions`` row, built together with the other unit sets of its
+    size, against the scalar oracle, the sets after a representative-dependent
+    one included; then ``localizations`` set by set against ``localize``, up to
+    its first error, which must be the error ``localize`` raises for that set."""
     c = SemiringCtx(k, mutant=mutant)
     subsets = list(multiplicative_subsets(c))
-    random.Random(k).shuffle(subsets)
-    for subset, batched in localized_in_turn(c, subsets):
-        classes, tables = ref_fractions(c, subset)
+    refs = [ref_fractions(c, subset) for subset in subsets]
+    for size in {len(subset) for subset in subsets}:
+        group = [i for i, subset in enumerate(subsets) if len(subset) == size]
+        rows = ideals._fractions(c, np.array([unit_codes(c, subsets[i]) for i in group]))
+        for i, (class_at, tables) in zip(group, rows, strict=True):
+            (classes, want), codes = refs[i], unit_codes(c, subsets[i])
+            assert class_sets(c, class_at) == classes and (tables is None) == (want is None), codes
+            if tables is not None:
+                loc = LocalizedSemiring(c, codes, class_at, tables)
+                assert_matches_oracle(c, subsets[i], loc, classes, want)
+    built = localizations(c)
+    for subset, (_, tables) in zip(subsets, refs):
         if tables is None:
             with pytest.raises(RuntimeError) as alone:
                 localize(c, subset)
-            assert type(batched) is RuntimeError and str(batched) == str(alone.value)
-            continue
-        loc = localize(c, subset)
-        assert_matches_oracle(c, subset, loc, classes, tables)
-        assert same_fractions(batched, loc), subset
+            with pytest.raises(RuntimeError) as batched:
+                next(built)
+            assert str(batched.value) == str(alone.value)
+            break
+        codes, loc = next(built)
+        assert codes == unit_codes(c, subset)
+        assert same_fractions(loc, localize(c, subset)), subset
+    assert next(built, None) is None
 
 
 def test_localizations_split_a_group_into_bounded_batches(monkeypatch):
     """At k = 8 the 21 sets with |U| = 5 hold 21 * 2500 (set, pair, pair)
     cells, so they are built in batches of at most ``_BATCH_CELLS``; every
-    set still matches the oracle and its own ``localize``."""
+    set still matches its own ``localize``, and those of size 5 the oracle."""
     c = ctx(8)
-    subsets = list(multiplicative_subsets(c))
-    random.Random(8).shuffle(subsets)
     shapes = []
     build = ideals._fractions
 
@@ -1041,32 +1071,15 @@ def test_localizations_split_a_group_into_bounded_batches(monkeypatch):
         return build(ctx, units)
 
     monkeypatch.setattr(ideals, "_fractions", spy)
-    batched = list(localizations(c, subsets))
+    built = list(localizations(c))
+    subsets = list(multiplicative_subsets(c))
     per_set = (c.size * 5) ** 2
     assert per_set == 2500 and 21 * per_set > ideals._BATCH_CELLS
     assert sorted(count for count, size in shapes if size == 5) == [3, 6, 6, 6]
     assert all(count * (c.size * size) ** 2 <= ideals._BATCH_CELLS for count, size in shapes)
-    for subset, loc in zip(subsets, batched, strict=True):
+    assert sum(count for count, _ in shapes) == len(subsets)
+    for subset, (codes, loc) in zip(subsets, built, strict=True):
+        assert codes == unit_codes(c, subset)
         if len(subset) == 5:
             assert_matches_oracle(c, subset, loc, *ref_fractions(c, subset))
         assert same_fractions(loc, localize(c, subset)), subset
-
-
-def test_localizations_raise_a_rejected_set_in_turn():
-    """A set ``localize`` rejects raises the same error at its position, after
-    the sets before it are yielded."""
-    c = ctx(3)
-    good = [fin(1), fin(2), MANY]
-    for bad, wants in (
-        ([fin(1), fin(2)], "U is not multiplicatively closed: 2 * 2 escapes"),
-        ([fin(1), ZERO], "U must not contain zero"),
-        ([fin(9)], "element 9 exceeds order k=3"),
-    ):
-        built = localizations(c, [good, [fin(1)], bad, good])
-        assert next(built).is_boolean() and next(built).matches_ambient()
-        with pytest.raises(ValueError) as exc:
-            next(built)
-        assert str(exc.value) == wants
-        with pytest.raises(ValueError) as alone:
-            localize(c, bad)
-        assert type(exc.value) is type(alone.value) and str(alone.value) == wants
