@@ -1,111 +1,9 @@
-"""Indigenous semirings: exact saturating counting arithmetic and its structure theory."""
+"""Indigenous semirings: exact saturating counting arithmetic and its structure theory.
 
-from .bounds import (
-    EXACT_SEARCH_BOUND,
-    IDEAL_ENUM_BOUND,
-    LAW_CHECK_BOUND,
-    ORACLE_BOUND,
-    BoundExceededError,
-)
-from .core import (
-    MANY,
-    ZERO,
-    ContextMismatchError,
-    Elem,
-    LawReport,
-    SemiringCtx,
-    fin,
-    verify_laws,
-)
-from .graphs import (
-    INFINITE,
-    IndigenousGraph,
-    build_graph,
-    chromatic_number,
-    clique_number,
-    diameter,
-    girth,
-)
-from .ideals import (
-    Ideal,
-    IdealSemiring,
-    LocalizedSemiring,
-    SpectrumView,
-    enumerate_ideals,
-    ideal_generated,
-    ideal_product,
-    ideal_semiring,
-    ideal_sum,
-    is_maximal,
-    is_prime,
-    is_subtractive,
-    localize,
-    nilpotency_index,
-    radical,
-    spectrum,
-)
-from .series import (
-    NEG_INFINITY,
-    Poly,
-    TruncSeries,
-    factorization_oracle,
-    idempotent_series_from_generators,
-    make_poly,
-    make_series,
-    parse_poly,
-    quadratic,
-    quadratic_irreducible,
-    ts_is_idempotent_window,
-)
+The modules are the interface: ``core`` (elements, ``SemiringCtx`` and
+the law check), ``graphs``, ``ideals`` (lattice, spectrum, localization
+and the ideal semiring), ``series`` (polynomials and windows),
+``checks`` (the theorem sweep), ``bounds``, ``kernels`` and ``cli``.
+"""
 
-__version__ = "0.1.0"
-
-__all__ = [
-    "BoundExceededError",
-    "ContextMismatchError",
-    "Elem",
-    "EXACT_SEARCH_BOUND",
-    "IDEAL_ENUM_BOUND",
-    "INFINITE",
-    "Ideal",
-    "IdealSemiring",
-    "IndigenousGraph",
-    "LAW_CHECK_BOUND",
-    "LawReport",
-    "LocalizedSemiring",
-    "MANY",
-    "NEG_INFINITY",
-    "ORACLE_BOUND",
-    "Poly",
-    "SemiringCtx",
-    "SpectrumView",
-    "TruncSeries",
-    "ZERO",
-    "build_graph",
-    "chromatic_number",
-    "clique_number",
-    "diameter",
-    "enumerate_ideals",
-    "factorization_oracle",
-    "fin",
-    "girth",
-    "ideal_generated",
-    "ideal_product",
-    "ideal_semiring",
-    "ideal_sum",
-    "idempotent_series_from_generators",
-    "is_maximal",
-    "is_prime",
-    "is_subtractive",
-    "localize",
-    "make_poly",
-    "make_series",
-    "nilpotency_index",
-    "parse_poly",
-    "quadratic",
-    "quadratic_irreducible",
-    "radical",
-    "spectrum",
-    "ts_is_idempotent_window",
-    "verify_laws",
-]
+from .core import SemiringCtx

@@ -366,9 +366,9 @@ def _run(check: tuple, k_max: int, unsafe: bool, ctx_at: Callable[[int], Semirin
     return Claim(name, tag, True, "")
 
 
-def run_all_checks(k_max: int, mutant: Optional[str] = None, unsafe: bool = False) -> list:
+def run_all_checks(k_max: int, unsafe: bool = False) -> list:
     """Run the full theorem sweep for k = 1..k_max; one claim per property."""
     if not isinstance(k_max, int) or k_max < 1:
         raise ValueError(f"k range must end at an integer >= 1, got {k_max!r}")
-    ctx_at = cache(lambda k: SemiringCtx(k, mutant=mutant))
+    ctx_at = cache(SemiringCtx)
     return [_run(check, k_max, unsafe, ctx_at) for check in _CHECKS]

@@ -249,7 +249,7 @@ def _cmd_localize(args) -> int:
     loc = ideals.localize(ctx, units)
     payload = {
         "k": args.k,
-        "unit_set": [u.render() for u in sorted(loc.unit_set, key=Elem.sort_key)],
+        "unit_set": [u.render() for u in sorted(loc.unit_set, key=ctx.encode)],
         "class_count": loc.class_count,
         "boolean": loc.is_boolean(),
         "entire": loc.is_entire(),

@@ -17,7 +17,7 @@ isolated and dominating vertices gives all four invariants exactly.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -66,9 +66,6 @@ class IndigenousGraph:
         i, j = self._index(u), self._index(v)
         return i != j and bool(self._adj[i] >> j & 1)
 
-    def degree(self, v: Elem) -> int:
-        return self._adj[self._index(v)].bit_count()
-
     def neighbors(self, v: Elem) -> tuple:
         row = self._adj[self._index(v)]
         return tuple(self.vertices[j] for j in range(self.order) if row >> j & 1)
@@ -97,9 +94,9 @@ class IndigenousGraph:
         }
 
 
-def build_graph(k: int, mutant: Optional[str] = None) -> IndigenousGraph:
+def build_graph(k: int) -> IndigenousGraph:
     """The Indigenous graph of order k."""
-    return IndigenousGraph(SemiringCtx(k, mutant=mutant))
+    return IndigenousGraph(SemiringCtx(k))
 
 
 def _peel(g: IndigenousGraph) -> list:

@@ -14,7 +14,7 @@ predicate tests bits of the mask against the code lists ``add`` and
 ``ctx.tables()``, and refuses an ideal of another context; besides the
 closure, only the unit sets and localization read those tables.
 Elements appear only at the boundary, in arguments and in views such
-as ``Ideal.members``.
+as ``Ideal.sorted_members``.
 
 Enumeration walks the closed masks of the ideal closure in lectic
 order (Ganter's NextClosure), so it costs at most k + 2 closures per
@@ -198,10 +198,6 @@ class Ideal:
         ideal.__dict__.update(ctx=ctx, mask=mask)
         return ideal
 
-    @property
-    def members(self) -> frozenset:
-        return frozenset(self.sorted_members())
-
     def sorted_members(self) -> tuple:
         return tuple(self.ctx.decode(c) for c in _codes(self.mask))
 
@@ -222,10 +218,6 @@ class Ideal:
 
     def issubset(self, other: "Ideal") -> bool:
         return not self.mask & ~other.mask
-
-    def sort_key(self) -> tuple:
-        """Canonical order: cardinality, then lexicographic on sorted member codes."""
-        return _sort_key(self.mask)
 
     def render(self) -> str:
         return "{" + ", ".join(a.render() for a in self.sorted_members()) + "}"

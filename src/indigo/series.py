@@ -108,22 +108,6 @@ class Poly:
             raise ValueError("trailing zero coefficient; build polynomials with make_poly")
         _check_codes(self.ctx, self.codes)
 
-    @classmethod
-    def zero(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, ())
-
-    @classmethod
-    def one(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (ctx.encode(ctx.one),))
-
-    @classmethod
-    def constant(cls, ctx: SemiringCtx, a: Elem) -> "Poly":
-        return make_poly(ctx, (a,))
-
-    @classmethod
-    def x(cls, ctx: SemiringCtx) -> "Poly":
-        return cls(ctx, (0, ctx.encode(ctx.one)))
-
     @property
     def coeffs(self) -> tuple:
         """The coefficients as elements, lowest degree first."""
@@ -213,6 +197,11 @@ def parse_poly(ctx: SemiringCtx, text: str) -> Poly:
     return _trimmed(ctx, [codes.get(i, 0) for i in range(max(codes) + 1)])
 
 
+def _check_depth(depth) -> None:
+    if not _is_count(depth, 0):
+        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+
+
 @dataclass(frozen=True)
 class TruncSeries:
     """A power series window: element codes for degrees 0..depth, no trimming."""
@@ -222,8 +211,7 @@ class TruncSeries:
     codes: tuple
 
     def __post_init__(self):
-        if not _is_count(self.depth, 0):
-            raise ValueError(f"depth must be an integer >= 0, got {self.depth!r}")
+        _check_depth(self.depth)
         if len(self.codes) != self.depth + 1:
             raise ValueError(
                 f"window of depth {self.depth} needs {self.depth + 1} coefficients, "
@@ -285,6 +273,7 @@ class TruncSeries:
 
 def make_series(ctx: SemiringCtx, depth: int, coeffs: Iterable[Elem]) -> TruncSeries:
     """Build a window of the given depth, padding with zeros."""
+    _check_depth(depth)
     cs = list(coeffs)
     if len(cs) > depth + 1:
         raise ValueError(f"{len(cs)} coefficients do not fit a window of depth {depth}")
@@ -344,8 +333,7 @@ def idempotent_series_from_generators(
     for g in gen_list:
         if not _is_count(g, 1):
             raise ValueError(f"generators must be integers >= 1, got {g!r}")
-    if not _is_count(depth, 0):
-        raise ValueError(f"depth must be an integer >= 0, got {depth!r}")
+    _check_depth(depth)
     reach = [False] * (depth + 1)
     reach[0] = True
     for i in range(1, depth + 1):

@@ -101,6 +101,11 @@ def multiplicative_subsets(ctx, mul=ref_mul):
             yield subset
 
 
+def ideal_elements(ideal):
+    """The elements of a library ``Ideal``, as a set."""
+    return frozenset(ideal.sorted_members())
+
+
 def _member(ctx, mask):
     """Membership of every code of ctx in ``mask``, as a boolean array."""
     return np.array([mask >> c & 1 for c in range(ctx.size)], dtype=bool)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from indigo import checks
-from indigo.bounds import BOUNDS, ORACLE_BOUND
+from indigo.bounds import BOUNDS
 from indigo.cli import EXIT_OK, EXIT_VIOLATED, main
 from indigo.core import MUTANT_ENV
 
@@ -48,7 +48,8 @@ def test_each_claim_sees_its_range_and_shares_one_context_per_k(monkeypatch, k_m
 
     table = tuple((c[0], c[1], recorder(c[0]), *c[3:]) for c in checks._CHECKS)
     monkeypatch.setattr(checks, "_CHECKS", table)
-    claims = checks.run_all_checks(k_max, mutant="add-cap", unsafe=unsafe)
+    monkeypatch.setenv(MUTANT_ENV, "add-cap")
+    claims = checks.run_all_checks(k_max, unsafe=unsafe)
     assert [c.name for c in claims] == list(TOPS)
     assert all(c.passed for c in claims)
     shared = {}
@@ -78,7 +79,7 @@ def test_every_claim_search_is_a_bound_row_and_every_row_is_read():
 @pytest.mark.parametrize("mutant", [None, "add-cap", "mul-cap"])
 def test_unsafe_sweep_past_the_series_bounds_reports_the_same_claims(capsys, monkeypatch, mutant):
     # unsafe runs quadratic-irreducibility past the oracle's row
-    k_max = str(ORACLE_BOUND + 1)
+    k_max = str(BOUNDS["oracle"][0] + 1)
     set_mutant(monkeypatch, mutant)
     runs = []
     for extra in ([], ["--unsafe-bound"]):
